@@ -1,18 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the computational substrates:
 // SHA-256, GF(2^16) arithmetic, Reed-Solomon encode/decode at Danksharding
-// line parameters, 2-D blob extension, assignment computation, and the
-// event-queue hot path.
+// line parameters, 2-D blob extension, assignment computation, the
+// event-queue hot path, and the protocol hot paths: one fetch round's
+// planning and the buffered-query path of a serving node.
 //
 //   ./build/bench/bench_micro [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
 
 #include "core/assignment.h"
+#include "core/fetcher.h"
+#include "core/node.h"
 #include "crypto/sha256.h"
 #include "erasure/extended_blob.h"
 #include "erasure/kernels.h"
 #include "erasure/reed_solomon.h"
 #include "net/messages.h"
+#include "net/sim_transport.h"
 #include "sim/engine.h"
 #include "util/prng.h"
 
@@ -300,6 +304,120 @@ BENCHMARK(BM_Engine_SteadyState)
     ->Args({1, 1 << 14})
     ->Args({0, 1 << 17})
     ->Args({1, 1 << 17});
+
+// One round of adaptive fetching (Algorithm 1 planning) at the Fig 13
+// operating point: a 600-node assignment, a node with nothing held, so F is
+// its full 16-line reconstruction set (ceil(1.1 k) cells per line) plus 73
+// samples. Each iteration starts a fresh fetcher, which gathers, scores and
+// ranks candidates and plans round 1 against a no-op send hook.
+void BM_Fetcher_RunRound(benchmark::State& state) {
+  const core::ProtocolParams params;
+  const std::uint32_t nodes = 600;
+  const auto dir = net::Directory::create(nodes);
+  const core::AssignmentTable table(params, dir, core::epoch_seed(1, 0));
+  const auto view = core::View::full(nodes);
+  util::Xoshiro256 rng(5);
+  std::vector<net::CellId> needed;
+  const auto per_line = static_cast<std::uint32_t>(
+      (params.matrix_k * 11 + 9) / 10);  // ceil(k * fetch_over_request)
+  for (const auto line : table.of(0).lines()) {
+    for (const auto pos : rng.sample_distinct(params.matrix_n, per_line)) {
+      const auto p = static_cast<std::uint16_t>(pos);
+      needed.push_back(line.kind == net::LineRef::Kind::kRow
+                           ? net::CellId{line.index, p}
+                           : net::CellId{p, line.index});
+    }
+  }
+  for (std::uint32_t i = 0; i < params.samples_per_node; ++i) {
+    needed.push_back({static_cast<std::uint16_t>(rng.uniform(params.matrix_n)),
+                      static_cast<std::uint16_t>(rng.uniform(params.matrix_n))});
+  }
+  sim::Engine engine(1);
+  std::uint64_t queries = 0;
+  for (auto _ : state) {
+    auto fetcher = std::make_shared<core::AdaptiveFetcher>(
+        engine, params, table, &view, 0, engine.rng_stream(7));
+    fetcher->start(needed, {},
+                   [&queries](net::NodeIndex, std::vector<net::CellId>,
+                              std::uint32_t, bool) { ++queries; });
+    benchmark::DoNotOptimize(fetcher->outstanding());
+    state.PauseTiming();
+    fetcher.reset();
+    engine.run();  // retire the round timer (its fetcher is gone)
+    state.ResumeTiming();
+  }
+  state.counters["queries_per_round"] = benchmark::Counter(
+      static_cast<double>(queries), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_Fetcher_RunRound)->Unit(benchmark::kMicrosecond);
+
+// The buffered-query path of a serving node: 256 queries of 8 cells each
+// for cells of its rows it does not hold yet (all buffered), then 64 replies
+// of 32 cells that complete them, each ingest answering the queries whose
+// last missing cell it brought (the last replies also reconstruct the
+// rows). Each iteration is one fresh slot.
+void BM_Node_ServeBuffered(benchmark::State& state) {
+  core::ProtocolParams params;
+  params.reputation = false;
+  const std::uint32_t nodes = 64;
+  const auto dir = net::Directory::create(nodes);
+  const core::AssignmentTable table(params, dir, core::epoch_seed(1, 0));
+  const auto view = core::View::full(nodes);
+  sim::Engine engine(1);
+  sim::TopologyConfig tc;
+  tc.vertices = nodes;
+  const auto topology = sim::Topology::generate(tc, 3);
+  net::SimTransport transport(engine, topology, net::SimTransportConfig{});
+  for (std::uint32_t i = 0; i < nodes; ++i) transport.add_node(i);
+  core::PandasNode server(engine, transport, 0, params);
+  server.configure_epoch(&table);
+  server.set_view(&view);
+
+  // 2048 distinct cells of the server's rows, in delivery order; queries
+  // draw their cells from them at random.
+  const auto& rows = table.of(0).rows;
+  std::vector<net::CellId> cells;
+  for (std::uint16_t c = 0; c < 256; ++c) {
+    for (const auto r : rows) cells.push_back({r, c});
+  }
+  util::Xoshiro256 rng(9);
+  std::vector<std::vector<net::CellId>> asks(256);
+  for (auto& ask : asks) {
+    for (const auto i : rng.sample_distinct(
+             static_cast<std::uint32_t>(cells.size()), 8)) {
+      ask.push_back(cells[i]);
+    }
+  }
+  std::uint64_t slot = 0;
+  for (auto _ : state) {
+    server.begin_slot(++slot);
+    for (std::size_t q = 0; q < asks.size(); ++q) {
+      net::CellQueryMsg query;
+      query.slot = slot;
+      query.cells = asks[q];
+      net::Message msg(std::move(query));
+      server.handle_message(static_cast<net::NodeIndex>(1 + q % (nodes - 1)),
+                            msg);
+    }
+    for (std::size_t i = 0; i < cells.size(); i += 32) {
+      net::CellReplyMsg reply;
+      reply.slot = slot;
+      reply.cells.assign(cells.begin() + static_cast<std::ptrdiff_t>(i),
+                         cells.begin() + static_cast<std::ptrdiff_t>(i + 32));
+      reply.tags = net::proof_tags(slot, reply.cells);
+      net::Message msg(std::move(reply));
+      server.handle_message(1, msg);
+    }
+    state.PauseTiming();
+    // Deliver the replies (no handlers: dropped on arrival). The slot's
+    // 400 ms fallback timer fires during a later drain, by then stale.
+    engine.run_until(engine.now() + 100 * sim::kMillisecond);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(asks.size()));
+}
+BENCHMARK(BM_Node_ServeBuffered)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -33,17 +33,18 @@ DOC_FILES = sorted(
     + list(REPO.glob("docs/*.md")))
 
 # Directories whose sources define the CLI surface documented in the docs.
-SOURCE_DIRS = ["src", "bench", "tests", "examples", "scripts"]
+SOURCE_DIRS = ["src", "bench", "tests", "examples", "scripts", "perfbench"]
 SOURCE_SUFFIXES = {".cpp", ".h", ".py", ".sh", ".txt"}  # .txt: CMakeLists
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9][a-z0-9_-]*)")
-BINARY_RE = re.compile(r"\b(bench_[a-z0-9_]+)\b")
+# Not after ".": `.bench_build/` is perfbench's build tree, not a bench.
+BINARY_RE = re.compile(r"(?<![.\w])(bench_[a-z0-9_]+)\b")
 EXAMPLE_RE = re.compile(r"examples/([a-z0-9_]+)\b")
 SCRIPT_RE = re.compile(r"scripts/([a-z0-9_]+\.(?:py|sh))\b")
 
 # External tool flags that legitimately appear in docs but not in our code.
-FLAG_ALLOWLIST = {"--help"}
+FLAG_ALLOWLIST = {"--help", "--benchmark_repetitions"}
 
 
 def source_corpus() -> str:

@@ -155,6 +155,16 @@ echo "soak smoke OK"
 "./${BUILD_DIR}/examples/live_loopback" --nodes 64 --run-ms 2000 --parity
 echo "live-backend parity smoke OK"
 
+# Repository-benchmark job (default config only): perfbench builds src/ as
+# its own CMake project, so a src/ API change can break it while every
+# target above still builds. Its self-test runs each workload at tiny size,
+# untraced and traced, and checks outputs, metric names and the repeat
+# check (docs in perfbench/README.md).
+if [[ "${BUILD_DIR}" == "build" ]]; then
+  python3 perfbench/selftest.py
+  echo "perfbench selftest OK"
+fi
+
 # Portable-fallback job (default config only): build the erasure stack with
 # SIMD tiers compiled out and no AVX in the baseline ISA, so the scalar
 # kernel path stays tested even though CI hosts all have AVX2. A separate

@@ -17,54 +17,55 @@ AdaptiveFetcher::AdaptiveFetcher(sim::Engine& engine, const ProtocolParams& para
       view_(view),
       self_(self),
       rng_(rng),
-      reputation_(reputation) {}
+      reputation_(reputation),
+      line_slot_(2 * util::Bitmap512::kCapacity, 0),
+      query_round_(assignment.node_count(), 0),
+      replied_(assignment.node_count(), false),
+      seen_(assignment.node_count(), 0) {}
 
-util::Bitmap512* AdaptiveFetcher::find_line(MissingMap& map, std::uint16_t index) {
-  const auto it = std::lower_bound(
-      map.begin(), map.end(), index,
-      [](const auto& e, std::uint16_t i) { return e.first < i; });
-  if (it == map.end() || it->first != index) return nullptr;
-  return &it->second;
+const util::Bitmap512* AdaptiveFetcher::find_line(net::LineRef line) const {
+  const int slot = line_slot(line);
+  if (slot < 0) return nullptr;
+  const MissingMap& map =
+      line.kind == net::LineRef::Kind::kRow ? missing_rows_ : missing_cols_;
+  return &map[static_cast<std::size_t>(slot)].second;
 }
 
-const util::Bitmap512* AdaptiveFetcher::find_line(const MissingMap& map,
-                                                  std::uint16_t index) {
-  return find_line(const_cast<MissingMap&>(map), index);
+util::Bitmap512& AdaptiveFetcher::need_line(net::LineRef line) {
+  if (auto* bm = find_line(line)) return *bm;
+  const bool is_row = line.kind == net::LineRef::Kind::kRow;
+  MissingMap& map = is_row ? missing_rows_ : missing_cols_;
+  const auto it = std::lower_bound(
+      map.begin(), map.end(), line.index,
+      [](const auto& e, std::uint16_t i) { return e.first < i; });
+  const auto pos = it - map.begin();
+  map.insert(it, {line.index, {}});
+  // Positions at and after the insertion shifted by one.
+  const std::size_t base = is_row ? 0 : util::Bitmap512::kCapacity;
+  for (std::size_t i = static_cast<std::size_t>(pos); i < map.size(); ++i) {
+    line_slot_[base + map[i].first] = static_cast<std::uint16_t>(i + 1);
+  }
+  return map[static_cast<std::size_t>(pos)].second;
 }
 
 void AdaptiveFetcher::add_needed(std::span<const net::CellId> cells) {
   for (const auto cell : cells) {
-    auto* row = find_line(missing_rows_, cell.row);
-    if (row == nullptr) {
-      const auto it = std::lower_bound(
-          missing_rows_.begin(), missing_rows_.end(), cell.row,
-          [](const auto& e, std::uint16_t i) { return e.first < i; });
-      row = &missing_rows_.insert(it, {cell.row, {}})->second;
-    }
-    if (row->test(cell.col)) continue;  // already in F
-    row->set(cell.col);
-    auto* col = find_line(missing_cols_, cell.col);
-    if (col == nullptr) {
-      const auto it = std::lower_bound(
-          missing_cols_.begin(), missing_cols_.end(), cell.col,
-          [](const auto& e, std::uint16_t i) { return e.first < i; });
-      col = &missing_cols_.insert(it, {cell.col, {}})->second;
-    }
-    col->set(cell.row);
+    auto& row = need_line(net::LineRef::row(cell.row));
+    if (row.test(cell.col)) continue;  // already in F
+    row.set(cell.col);
+    need_line(net::LineRef::col(cell.col)).set(cell.row);
     ++outstanding_;
   }
 }
 
 std::uint32_t AdaptiveFetcher::outstanding_in_line(net::LineRef line,
                                                    std::uint32_t n) const {
-  const MissingMap& map =
-      line.kind == net::LineRef::Kind::kRow ? missing_rows_ : missing_cols_;
-  const auto* bm = find_line(map, line.index);
+  const auto* bm = find_line(line);
   return bm == nullptr ? 0 : bm->count_prefix(n);
 }
 
 bool AdaptiveFetcher::is_outstanding(net::CellId cell) const {
-  const auto* bm = find_line(missing_rows_, cell.row);
+  const auto* bm = find_line(net::LineRef::row(cell.row));
   return bm != nullptr && bm->test(cell.col);
 }
 
@@ -83,10 +84,10 @@ void AdaptiveFetcher::start(std::span<const net::CellId> needed,
 }
 
 bool AdaptiveFetcher::clear_cell(net::CellId cell) {
-  auto* row = find_line(missing_rows_, cell.row);
+  auto* row = find_line(net::LineRef::row(cell.row));
   if (row == nullptr || !row->test(cell.col)) return false;
   row->reset(cell.col);
-  if (auto* col = find_line(missing_cols_, cell.col)) col->reset(cell.row);
+  if (auto* col = find_line(net::LineRef::col(cell.col))) col->reset(cell.row);
   coverage_.erase(cell.packed());
   --outstanding_;
   return true;
@@ -101,15 +102,20 @@ FetchRoundStats& AdaptiveFetcher::stats_for_round(std::uint32_t round) {
   return stats_[round - 1];
 }
 
+void AdaptiveFetcher::set_replied(net::NodeIndex peer, bool value) {
+  if (peer >= replied_.size()) replied_.resize(peer + 1, false);
+  replied_[peer] = value;
+}
+
 void AdaptiveFetcher::on_reply(net::NodeIndex from, std::uint32_t new_cells,
                                std::uint32_t duplicates,
                                std::uint32_t reconstructed, bool buffered) {
-  const auto it = query_round_.find(from);
-  if (it == query_round_.end()) return;  // unsolicited
+  const std::uint32_t round = queried_round(from);
+  if (round == 0) return;  // unsolicited
   // RTT sample for the estimator — first reply to a non-retransmitted query
   // only (Karn's rule), and never from the buffered-reply path (that
   // measures the peer's consolidation wait, not the network).
-  if (rtt_ != nullptr && !buffered && replied_.count(from) == 0 &&
+  if (rtt_ != nullptr && !buffered && !replied(from) &&
       retransmitted_.count(from) == 0) {
     const auto sit = query_sent_at_.find(from);
     if (sit != query_sent_at_.end()) {
@@ -119,16 +125,15 @@ void AdaptiveFetcher::on_reply(net::NodeIndex from, std::uint32_t new_cells,
   // A reply from a hedge target that beats the slow peer is a hedge win.
   const auto hit = hedge_of_.find(from);
   if (hit != hedge_of_.end()) {
-    if (new_cells > 0 && replied_.count(hit->second) == 0) {
+    if (new_cells > 0 && !replied(hit->second)) {
       ++hedge_wins_;
       obs::emit(trace_, obs::EventType::kHedgeWin, engine_.now(), from,
                 new_cells, hit->second);
     }
     hedge_of_.erase(hit);
   }
-  replied_.insert(from);
+  set_replied(from, true);
   if (reputation_ != nullptr && new_cells > 0) reputation_->record_success(from);
-  const std::uint32_t round = it->second;
   auto& st = stats_for_round(round);
   const bool in_round = round <= round_deadline_.size() &&
                         engine_.now() <= round_deadline_[round - 1];
@@ -148,8 +153,8 @@ void AdaptiveFetcher::on_reply(net::NodeIndex from, std::uint32_t new_cells,
 
 void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
                                        std::span<const net::CellId> cells) {
-  if (!started_ || query_round_.count(from) == 0) return;
-  replied_.insert(from);  // it did reply; the corrupt penalty is separate
+  if (!started_ || queried_round(from) == 0) return;
+  set_replied(from, true);  // it did reply; the corrupt penalty is separate
   std::vector<net::CellId> need;
   for (const auto cell : cells) {
     if (!is_outstanding(cell)) continue;
@@ -161,23 +166,11 @@ void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
   if (need.empty() || !rounds_active_ || round_ == 0) return;
 
   // Immediate redraw: one replacement query per forged cell, planned over
-  // the clean candidates only (the forger is already in query_round_ and the
-  // reputation hit has demoted any accomplices).
-  std::vector<net::NodeIndex> pool;
-  gather_candidates(1, pool);
-  std::vector<Candidate> candidates;
-  score_candidates(pool, candidates);
-  const std::uint64_t salt = rng_();
-  std::sort(candidates.begin(), candidates.end(),
-            [salt](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
-            });
-
-  auto& st = stats_for_round(round_);
-  for (auto& cand : candidates) {
+  // the clean candidates only (the forger is already queried this cycle and
+  // the reputation hit has demoted any accomplices).
+  for (auto& cand : rank_candidates(1)) {
     if (need.empty()) break;
-    if (cand.interest.empty()) materialize_interest(cand);
+    materialize_interest(cand);
     std::vector<net::CellId> query_cells;
     for (const auto cell : cand.interest) {
       const auto hit = std::find(need.begin(), need.end(), cell);
@@ -187,22 +180,30 @@ void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
     }
     if (query_cells.empty()) continue;
     for (const auto cell : query_cells) ++coverage_[cell.packed()];
-    note_query_sent(cand.node, query_cells);
-    query_round_[cand.node] = round_;
-    replied_.erase(cand.node);
-    st.messages_sent += 1;
-    st.cells_requested += static_cast<std::uint32_t>(query_cells.size());
-    if (round_ <= round_deadline_.size()) {
-      arm_rto(cand.node, round_, round_deadline_[round_ - 1]);
-    }
-    send_(cand.node, std::move(query_cells), round_, /*redraw=*/true);
+    dispatch(cand.node, std::move(query_cells), current_round_end(),
+             /*redraw=*/true);
   }
+}
+
+void AdaptiveFetcher::dispatch(net::NodeIndex target,
+                               std::vector<net::CellId> cells,
+                               sim::Time round_end, bool redraw) {
+  auto& st = stats_for_round(round_);
+  st.messages_sent += 1;
+  st.cells_requested += static_cast<std::uint32_t>(cells.size());
+  note_query_sent(target, cells);
+  if (target >= query_round_.size()) query_round_.resize(target + 1, 0);
+  query_round_[target] = round_;
+  cycle_queried_ = true;
+  set_replied(target, false);  // a fresh query must be answered anew
+  arm_rto(target, round_, round_end);
+  send_(target, std::move(cells), round_, redraw);
 }
 
 void AdaptiveFetcher::note_query_sent(net::NodeIndex node,
                                       const std::vector<net::CellId>& cells) {
   if (rtt_ == nullptr) return;
-  if (query_sent_at_.count(node) != 0 && replied_.count(node) == 0) {
+  if (query_sent_at_.count(node) != 0 && !replied(node)) {
     // Karn's rule: re-querying a peer whose prior query is still unanswered
     // makes the next reply ambiguous — it must never feed the estimator.
     retransmitted_.insert(node);
@@ -232,9 +233,8 @@ void AdaptiveFetcher::arm_rto(net::NodeIndex peer, std::uint32_t round,
 
 void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
   if (!rounds_active_ || !params_.hedging || rtt_ == nullptr) return;
-  const auto it = query_round_.find(peer);
-  if (it == query_round_.end() || it->second != round) return;  // stale timer
-  if (replied_.count(peer) != 0) return;  // the reply beat the timer
+  if (queried_round(peer) != round) return;  // stale timer
+  if (replied(peer)) return;  // the reply beat the timer
   ++rto_expirations_;
   // Exponential backoff for this peer's future timers (Karn). Reputation is
   // deliberately NOT charged here: only the round deadline charges, once.
@@ -260,21 +260,10 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
   // recipients are gathered first and outscore plain custodians via
   // cb_boost, so "scored direct peers → consolidation-boost peers" falls
   // out of the existing ranking.
-  std::vector<net::NodeIndex> pool;
-  gather_candidates(1, pool);
-  std::vector<Candidate> candidates;
-  score_candidates(pool, candidates);
-  const std::uint64_t salt = rng_();
-  std::sort(candidates.begin(), candidates.end(),
-            [salt](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
-            });
-
   net::NodeIndex target = net::kInvalidNode;
   std::vector<net::CellId> hedge_cells;
-  for (auto& cand : candidates) {
-    if (cand.interest.empty()) materialize_interest(cand);
+  for (auto& cand : rank_candidates(1)) {
+    materialize_interest(cand);
     std::vector<net::CellId> overlap;
     for (const auto cell : cand.interest) {
       if (std::find(need.begin(), need.end(), cell) != need.end()) {
@@ -290,7 +279,7 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
   // view-filtered — reaching holders outside the view is their purpose.
   if (target == net::kInvalidNode && last_resort_) {
     for (const auto n : last_resort_()) {
-      if (n == self_ || query_round_.count(n) != 0) continue;
+      if (n == self_ || queried_round(n) != 0) continue;
       if (reputation_ != nullptr &&
           reputation_->greylisted(n, engine_.now())) {
         continue;
@@ -305,45 +294,60 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
   ++hedges;
   ++hedges_sent_;
   for (const auto cell : hedge_cells) ++coverage_[cell.packed()];
-  auto& st = stats_for_round(round_);
-  st.messages_sent += 1;
-  st.cells_requested += static_cast<std::uint32_t>(hedge_cells.size());
-  note_query_sent(target, hedge_cells);
-  query_round_[target] = round_;
-  replied_.erase(target);
   hedge_of_[target] = peer;
   obs::emit(trace_, obs::EventType::kHedgeSent, engine_.now(), target,
             static_cast<std::int64_t>(hedge_cells.size()), peer);
-  if (round_ <= round_deadline_.size()) {
-    arm_rto(target, round_, round_deadline_[round_ - 1]);
-  }
-  send_(target, std::move(hedge_cells), round_, /*redraw=*/true);
+  dispatch(target, std::move(hedge_cells), current_round_end(),
+           /*redraw=*/true);
+}
+
+std::vector<AdaptiveFetcher::Candidate> AdaptiveFetcher::rank_candidates(
+    std::uint32_t k) {
+  std::vector<net::NodeIndex> pool;
+  gather_candidates(k, pool);
+  std::vector<Candidate> candidates;
+  score_candidates(pool, candidates);
+  // Ties are broken by a per-call random salt rather than node index: with
+  // index order every fetcher in the network would converge on the same
+  // lowest-index holders and overload their uplinks.
+  const std::uint64_t salt = rng_();
+  std::sort(candidates.begin(), candidates.end(),
+            [salt](const Candidate& a, const Candidate& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
+            });
+  return candidates;
 }
 
 void AdaptiveFetcher::gather_candidates(std::uint32_t k,
                                         std::vector<net::NodeIndex>& out) {
-  std::unordered_set<net::NodeIndex> seen;
+  if (++seen_stamp_ == 0) {  // wrapped: old stamps could alias
+    std::fill(seen_.begin(), seen_.end(), 0);
+    seen_stamp_ = 1;
+  }
   const std::uint32_t cap =
       params_.candidates_per_line == 0
           ? ~0u
           : std::max(params_.candidates_per_line, 3 * k);
 
-  auto eligible = [&](net::NodeIndex n) {
-    return n != self_ && query_round_.count(n) == 0 &&
-           (view_ == nullptr || view_->contains(n)) &&
-           (reputation_ == nullptr || !reputation_->greylisted(n, engine_.now()));
-  };
   auto add = [&](net::NodeIndex n) {
-    if (eligible(n) && seen.insert(n).second) out.push_back(n);
+    if (n == self_ || queried_round(n) != 0 ||
+        (view_ != nullptr && !view_->contains(n))) {
+      return;
+    }
+    if (n >= seen_.size()) seen_.resize(n + 1, 0);
+    if (seen_[n] == seen_stamp_) return;
+    if (reputation_ != nullptr && reputation_->greylisted(n, engine_.now())) {
+      return;
+    }
+    seen_[n] = seen_stamp_;
+    out.push_back(n);
   };
 
   // Boosted candidates first: recipients of seeded cells we still miss.
   for (const auto& lb : boost_) {
     if (!lb) continue;
-    const MissingMap& map = lb->line.kind == net::LineRef::Kind::kRow
-                                ? missing_rows_
-                                : missing_cols_;
-    const auto* missing = find_line(map, lb->line.index);
+    const auto* missing = find_line(lb->line);
     if (missing == nullptr) continue;
     std::uint32_t taken = 0;
     net::NodeIndex last = net::kInvalidNode;
@@ -368,36 +372,37 @@ void AdaptiveFetcher::gather_candidates(std::uint32_t k,
         rng_.sample_distinct(static_cast<std::uint32_t>(pool.size()), cap);
     for (const auto i : picks) add(pool[i]);
   };
-  for (const auto& [row, bm] : missing_rows_) {
-    (void)bm;
-    sample_line(net::LineRef::row(row));
+  for (const auto& entry : missing_rows_) {
+    sample_line(net::LineRef::row(entry.first));
   }
-  for (const auto& [col, bm] : missing_cols_) {
-    (void)bm;
-    sample_line(net::LineRef::col(col));
+  for (const auto& entry : missing_cols_) {
+    sample_line(net::LineRef::col(entry.first));
   }
 }
 
-void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
+void AdaptiveFetcher::score_candidates(const std::vector<net::NodeIndex>& nodes,
                                        std::vector<Candidate>& out) {
   // Scoring only needs |cells of interest| and the boosted seeded cells;
-  // the interest list itself is materialized lazily at planning time for
-  // the (far fewer) candidates that actually get a query.
+  // the interest list itself is built at planning time for the (far fewer)
+  // candidates that actually get a query. Missing-cell counts per line come
+  // from one dense table (rows, then columns) built once per call.
+  const std::uint32_t n = params_.matrix_n;
+  std::vector<std::uint32_t> missing_in(2 * util::Bitmap512::kCapacity, 0);
+  for (const auto& [row, bm] : missing_rows_) {
+    missing_in[row] = bm.count_prefix(n);
+  }
+  for (const auto& [col, bm] : missing_cols_) {
+    missing_in[util::Bitmap512::kCapacity + col] = bm.count_prefix(n);
+  }
   out.reserve(nodes.size());
   for (const auto node : nodes) {
     Candidate cand;
     cand.node = node;
     const AssignedLines& lines = assignment_.of(node);
     std::uint32_t interest = 0;
-    for (const auto r : lines.rows) {
-      if (const auto* bm = find_line(missing_rows_, r)) {
-        interest += bm->count_prefix(params_.matrix_n);
-      }
-    }
+    for (const auto r : lines.rows) interest += missing_in[r];
     for (const auto c : lines.cols) {
-      if (const auto* bm = find_line(missing_cols_, c)) {
-        interest += bm->count_prefix(params_.matrix_n);
-      }
+      interest += missing_in[util::Bitmap512::kCapacity + c];
     }
     if (interest == 0) continue;
     // (Cells sitting at the intersection of two of the candidate's own lines
@@ -410,10 +415,7 @@ void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
     for (const auto& lb : boost_) {
       if (!lb) continue;
       if (!assignment_.node_has_line(node, lb->line)) continue;
-      const MissingMap& map = lb->line.kind == net::LineRef::Kind::kRow
-                                  ? missing_rows_
-                                  : missing_cols_;
-      const auto* missing = find_line(map, lb->line.index);
+      const auto* missing = find_line(lb->line);
       if (missing == nullptr) continue;
       const auto [lo, hi] = lb->range_of(node);
       for (std::size_t i = lo; i < hi; ++i) {
@@ -435,17 +437,17 @@ void AdaptiveFetcher::score_candidates(std::vector<net::NodeIndex>& nodes,
 void AdaptiveFetcher::materialize_interest(Candidate& cand) const {
   const AssignedLines& lines = assignment_.of(cand.node);
   for (const auto r : lines.rows) {
-    if (const auto* bm = find_line(missing_rows_, r)) {
-      for (const auto col : bm->set_bits(params_.matrix_n)) {
+    if (const auto* bm = find_line(net::LineRef::row(r))) {
+      bm->for_each_set(params_.matrix_n, [&](std::uint32_t col) {
         cand.interest.push_back({r, static_cast<std::uint16_t>(col)});
-      }
+      });
     }
   }
   for (const auto c : lines.cols) {
-    if (const auto* bm = find_line(missing_cols_, c)) {
-      for (const auto row : bm->set_bits(params_.matrix_n)) {
+    if (const auto* bm = find_line(net::LineRef::col(c))) {
+      bm->for_each_set(params_.matrix_n, [&](std::uint32_t row) {
         cand.interest.push_back({static_cast<std::uint16_t>(row), c});
-      }
+      });
     }
   }
   std::sort(cand.interest.begin(), cand.interest.end());
@@ -455,8 +457,9 @@ void AdaptiveFetcher::materialize_interest(Candidate& cand) const {
 
 void AdaptiveFetcher::record_round_timeouts(std::uint32_t round) {
   if (reputation_ == nullptr || round == 0) return;
-  for (const auto& [peer, queried_in] : query_round_) {
-    if (queried_in != round || replied_.count(peer) != 0) continue;
+  // Ascending peer order (query_round_ is dense).
+  for (net::NodeIndex peer = 0; peer < query_round_.size(); ++peer) {
+    if (query_round_[peer] != round || replied(peer)) continue;
     if (reputation_->record_timeout(peer, engine_.now())) {
       obs::emit(trace_, obs::EventType::kPeerGreylisted, engine_.now(), peer);
     }
@@ -489,34 +492,37 @@ void AdaptiveFetcher::run_round() {
   const sim::Time timeout = params_.timeout_for_round(cycle_round);
   const sim::Time round_end = engine_.now() + timeout;
 
-  std::vector<net::NodeIndex> pool;
-  gather_candidates(k, pool);
-  std::vector<Candidate> candidates;
-  score_candidates(pool, candidates);
-  // Ties are broken by a per-fetcher random salt rather than node index:
-  // with index order every fetcher in the network would converge on the same
-  // lowest-index holders and overload their uplinks.
-  const std::uint64_t salt = rng_();
-  std::sort(candidates.begin(), candidates.end(),
-            [salt](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
-            });
+  auto candidates = rank_candidates(k);
 
   // Greedy planning (Algorithm 1, lines 11-17): walk candidates by
   // decreasing score; each planned query asks a candidate for its cells of
   // interest that are still under the cumulative redundancy target k
   // (c_j.cells ∩ U). A cell leaves U once k queries (across all rounds so
-  // far) cover it.
+  // far) cover it. U is kept as one bitmap per missing row and column
+  // (aligned with missing_rows_ / missing_cols_), built once here and
+  // cleared cell by cell as planning covers it, so a query is read straight
+  // off its candidate's lines.
+  const std::uint32_t n = params_.matrix_n;
+  std::vector<util::Bitmap512> under_rows(missing_rows_.size());
+  std::vector<util::Bitmap512> under_cols(missing_cols_.size());
+  auto under_of = [&](net::LineRef line) -> util::Bitmap512* {
+    const int slot = line_slot(line);
+    if (slot < 0) return nullptr;
+    auto& bits = line.kind == net::LineRef::Kind::kRow ? under_rows : under_cols;
+    return &bits[static_cast<std::size_t>(slot)];
+  };
   std::uint64_t under = 0;
-  for (const auto& [row, bm] : missing_rows_) {
-    for (const auto col : bm.set_bits(params_.matrix_n)) {
+  for (std::size_t i = 0; i < missing_rows_.size(); ++i) {
+    const std::uint16_t row = missing_rows_[i].first;
+    missing_rows_[i].second.for_each_set(n, [&](std::uint32_t col) {
       const net::CellId cell{row, static_cast<std::uint16_t>(col)};
       const auto it = coverage_.find(cell.packed());
-      if (it == coverage_.end() || it->second < k) ++under;
-    }
+      if (it != coverage_.end() && it->second >= k) return;
+      under_rows[i].set(col);
+      under_of(net::LineRef::col(cell.col))->set(row);
+      ++under;
+    });
   }
-  auto& st = stats_for_round(round_);
 
   for (auto& cand : candidates) {
     if (under == 0) break;
@@ -525,28 +531,38 @@ void AdaptiveFetcher::run_round() {
     // its full set of cells of interest otherwise.
     std::vector<net::CellId> query_cells;
     for (const auto cell : cand.seeded) {
-      const auto it = coverage_.find(cell.packed());
-      if (it == coverage_.end() || it->second < k) query_cells.push_back(cell);
-    }
-    if (query_cells.empty()) {
-      if (cand.interest.empty()) materialize_interest(cand);
-      for (const auto cell : cand.interest) {
-        const auto it = coverage_.find(cell.packed());
-        if (it == coverage_.end() || it->second < k) query_cells.push_back(cell);
+      if (under_of(net::LineRef::row(cell.row))->test(cell.col)) {
+        query_cells.push_back(cell);
       }
     }
-    if (query_cells.empty()) continue;
-    for (const auto cell : query_cells) {
-      const auto c = ++coverage_[cell.packed()];
-      if (c == k) --under;
+    if (query_cells.empty()) {
+      const AssignedLines& lines = assignment_.of(cand.node);
+      for (const auto r : lines.rows) {
+        if (const auto* bits = under_of(net::LineRef::row(r))) {
+          bits->for_each_set(n, [&](std::uint32_t col) {
+            query_cells.push_back({r, static_cast<std::uint16_t>(col)});
+          });
+        }
+      }
+      for (const auto c : lines.cols) {
+        if (const auto* bits = under_of(net::LineRef::col(c))) {
+          bits->for_each_set(n, [&](std::uint32_t row) {
+            query_cells.push_back({static_cast<std::uint16_t>(row), c});
+          });
+        }
+      }
+      if (query_cells.empty()) continue;
+      std::sort(query_cells.begin(), query_cells.end());
+      query_cells.erase(std::unique(query_cells.begin(), query_cells.end()),
+                        query_cells.end());
     }
-    note_query_sent(cand.node, query_cells);
-    query_round_[cand.node] = round_;
-    replied_.erase(cand.node);  // a fresh query must be answered anew
-    st.messages_sent += 1;
-    st.cells_requested += static_cast<std::uint32_t>(query_cells.size());
-    arm_rto(cand.node, round_, round_end);
-    send_(cand.node, std::move(query_cells), round_, /*redraw=*/false);
+    for (const auto cell : query_cells) {
+      if (++coverage_[cell.packed()] != k) continue;
+      under_of(net::LineRef::row(cell.row))->reset(cell.col);
+      under_of(net::LineRef::col(cell.col))->reset(cell.row);
+      --under;
+    }
+    dispatch(cand.node, std::move(query_cells), round_end, /*redraw=*/false);
   }
 
   // Candidate pool exhausted while cells are still missing: begin a fresh
@@ -554,14 +570,16 @@ void AdaptiveFetcher::run_round() {
   // lagging nodes run multiple fetch cycles per slot). Cumulative coverage
   // restarts with the cycle.
   sim::Time next_round_in = timeout;
-  if (st.messages_sent == 0 && outstanding_ > 0 && !query_round_.empty()) {
+  auto& st = stats_for_round(round_);
+  if (st.messages_sent == 0 && outstanding_ > 0 && cycle_queried_) {
     if (++cycles_used_ > params_.max_cycles) {
       // Give up on active querying; buffered queries at peers may still
       // deliver the rest of F as their holders consolidate.
       rounds_active_ = false;
       return;
     }
-    query_round_.clear();
+    // Raising cycle_start_round_ retires every earlier query_round_ entry.
+    cycle_queried_ = false;
     coverage_.clear();
     hedges_for_.clear();  // a fresh cycle earns a fresh hedge budget
     cycle_start_round_ = round_;

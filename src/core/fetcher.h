@@ -6,6 +6,7 @@
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/assignment.h"
@@ -163,7 +164,7 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
     return stats_;
   }
   [[nodiscard]] bool was_queried(net::NodeIndex n) const {
-    return query_round_.count(n) != 0;
+    return queried_round(n) != 0;
   }
   /// Hedging counters (0 unless params.hedging).
   [[nodiscard]] std::uint32_t rto_expirations() const noexcept {
@@ -191,22 +192,63 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   using MissingMap = std::vector<std::pair<std::uint16_t, util::Bitmap512>>;
 
   void run_round();
+  /// Gathers and scores candidates, then ranks them by decreasing score with
+  /// ties broken by a fresh per-call salt. Shared by round planning, corrupt
+  /// redraws and hedges.
+  std::vector<Candidate> rank_candidates(std::uint32_t k);
   void gather_candidates(std::uint32_t k, std::vector<net::NodeIndex>& out);
-  void score_candidates(std::vector<net::NodeIndex>& nodes,
+  void score_candidates(const std::vector<net::NodeIndex>& nodes,
                         std::vector<Candidate>& out);
-  /// Fills cand.interest (assignment ∩ F) on demand at planning time.
+  /// Fills cand.interest (assignment ∩ F) on demand (redraws and hedges).
   void materialize_interest(Candidate& cand) const;
-  [[nodiscard]] static util::Bitmap512* find_line(MissingMap& map,
-                                                  std::uint16_t index);
-  [[nodiscard]] static const util::Bitmap512* find_line(const MissingMap& map,
-                                                        std::uint16_t index);
+  /// Position of `line` in its MissingMap, or -1 when none of its cells is
+  /// in F. O(1) through the dense line_slot_ table.
+  [[nodiscard]] int line_slot(net::LineRef line) const {
+    if (line.index >= util::Bitmap512::kCapacity) return -1;
+    const std::size_t i = line.kind == net::LineRef::Kind::kRow
+                              ? line.index
+                              : util::Bitmap512::kCapacity + line.index;
+    return static_cast<int>(line_slot_[i]) - 1;
+  }
+  [[nodiscard]] const util::Bitmap512* find_line(net::LineRef line) const;
+  [[nodiscard]] util::Bitmap512* find_line(net::LineRef line) {
+    return const_cast<util::Bitmap512*>(std::as_const(*this).find_line(line));
+  }
+  /// F's bitmap for `line`, inserting an empty one (kept sorted) if absent.
+  util::Bitmap512& need_line(net::LineRef line);
   /// Clears one cell from both indexes; returns true if it was outstanding.
   bool clear_cell(net::CellId cell);
   FetchRoundStats& stats_for_round(std::uint32_t round);
 
+  /// Round in which `peer` was queried during the current fetch cycle, or 0.
+  /// query_round_ keeps the round of each peer's latest query, and the round
+  /// that starts a new cycle planned no query: entries below
+  /// cycle_start_round_ belong to earlier cycles, so raising it retires them
+  /// without a clearing pass.
+  [[nodiscard]] std::uint32_t queried_round(net::NodeIndex peer) const {
+    if (peer >= query_round_.size()) return 0;
+    const std::uint32_t r = query_round_[peer];
+    return r != 0 && r >= cycle_start_round_ ? r : 0;
+  }
+  [[nodiscard]] bool replied(net::NodeIndex peer) const {
+    return peer < replied_.size() && replied_[peer];
+  }
+  void set_replied(net::NodeIndex peer, bool value);
+
   /// Charges round timeouts for peers queried in `round` that never replied.
   void record_round_timeouts(std::uint32_t round);
 
+  /// Sends one query in the current round: round stats, Karn/RTT
+  /// bookkeeping, the RTO timer (when `round_end` leaves room), then the
+  /// send hook. Callers account coverage.
+  void dispatch(net::NodeIndex target, std::vector<net::CellId> cells,
+                sim::Time round_end, bool redraw);
+  /// Deadline of the current round, or 0 (no RTO timer) before it is set.
+  [[nodiscard]] sim::Time current_round_end() const {
+    return round_ != 0 && round_ <= round_deadline_.size()
+               ? round_deadline_[round_ - 1]
+               : 0;
+  }
   /// Bookkeeping common to every outgoing query: Karn retransmit marking
   /// and the send timestamp the RTT sample derives from (rtt_ set only).
   void note_query_sent(net::NodeIndex node,
@@ -229,9 +271,14 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   TopUpFn topup_;
   obs::TraceSink* trace_ = nullptr;
 
-  /// F, indexed two ways: by row (canonical) and by column (mirror).
+  /// F, indexed two ways: by row (canonical) and by column (mirror), each
+  /// sorted by line index.
   MissingMap missing_rows_;
   MissingMap missing_cols_;
+  /// Dense line -> 1 + MissingMap position (0 = no missing cell): rows,
+  /// then columns, Bitmap512::kCapacity entries each. Updated when a line
+  /// joins F.
+  std::vector<std::uint16_t> line_slot_;
   std::uint64_t outstanding_ = 0;
   std::uint64_t initial_outstanding_ = 0;
 
@@ -241,10 +288,17 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   std::uint32_t cycle_start_round_ = 0;  // round at which this cycle began
   std::uint32_t cycles_used_ = 1;
   std::vector<sim::Time> round_deadline_;  // index: round-1
-  std::unordered_map<net::NodeIndex, std::uint32_t> query_round_;
-  /// Peers that replied to their outstanding query (re-querying in a later
-  /// cycle removes them again), for round-timeout attribution.
-  std::unordered_set<net::NodeIndex> replied_;
+  /// Per peer (dense NodeIndex): round of its latest query; see
+  /// queried_round().
+  std::vector<std::uint32_t> query_round_;
+  bool cycle_queried_ = false;  ///< some peer was queried this cycle
+  /// Per peer: replied to its outstanding query (re-querying in a later
+  /// cycle clears it again), for round-timeout attribution.
+  std::vector<bool> replied_;
+  /// gather_candidates' de-duplication: a peer was seen in the current call
+  /// iff its stamp equals seen_stamp_, so no per-call clearing is needed.
+  std::vector<std::uint16_t> seen_;
+  std::uint16_t seen_stamp_ = 0;
   /// Cumulative per-cell query count (packed CellId -> queries planned so
   /// far). Redundancy targets are cumulative: round i tops every cell up to
   /// k_i total outstanding queries.

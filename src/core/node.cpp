@@ -6,6 +6,14 @@
 #include "crypto/kzg_sim.h"
 
 namespace pandas::core {
+namespace {
+
+// Orders Waiter records by cell, the sort key of pending_waiters_.
+constexpr auto by_cell = [](const auto& a, const auto& b) {
+  return a.cell < b.cell;
+};
+
+}  // namespace
 
 PandasNode::PandasNode(sim::Engine& engine, net::Transport& transport,
                        net::NodeIndex self, const ProtocolParams& params)
@@ -24,6 +32,7 @@ void PandasNode::begin_slot(std::uint64_t slot) {
   ++slot_generation_;
   custody_ = CustodyState(params_, table_->of(self_));
   pending_.clear();
+  pending_waiters_.clear();
   fallback_armed_ = false;
   seed_received_ = false;
   record_ = SlotRecord{};
@@ -66,11 +75,17 @@ bool PandasNode::handle_message(net::NodeIndex from, net::Message& msg) {
     return true;
   }
   if (auto* query = std::get_if<net::CellQueryMsg>(&msg)) {
-    if (slot_active_ && query->slot == slot_) on_query(from, std::move(*query));
+    if (slot_active_ && query->slot == slot_) {
+      count_fetch_traffic(msg);
+      on_query(from, std::move(*query));
+    }
     return true;
   }
   if (auto* reply = std::get_if<net::CellReplyMsg>(&msg)) {
-    if (slot_active_ && reply->slot == slot_) on_reply(from, std::move(*reply));
+    if (slot_active_ && reply->slot == slot_) {
+      count_fetch_traffic(msg);
+      on_reply(from, std::move(*reply));
+    }
     return true;
   }
   return false;
@@ -255,14 +270,14 @@ void PandasNode::start_fetch(net::BoostMap boost) {
         q.cause = obs::CauseId{slot_, self_, cause_seq_++};
         q.round = round;
         q.redraw = redraw;
-        count_fetch_traffic(net::Message(q));
-        transport_.send(self_, target, std::move(q));
+        net::Message msg(std::move(q));
+        count_fetch_traffic(msg);
+        transport_.send(self_, target, std::move(msg));
       });
   check_completion();
 }
 
 void PandasNode::on_query(net::NodeIndex from, net::CellQueryMsg&& msg) {
-  count_fetch_traffic(net::Message(msg));
   obs::emit(trace_, obs::EventType::kQueryReceived, engine_.now(), from,
             static_cast<std::int64_t>(msg.cells.size()));
   // Capture the query's causal context now: replies (immediate or buffered)
@@ -327,17 +342,24 @@ void PandasNode::on_query(net::NodeIndex from, net::CellQueryMsg&& msg) {
   if (!remaining.empty()) {
     obs::emit(trace_, obs::EventType::kQueryBuffered, engine_.now(), from,
               static_cast<std::int64_t>(remaining.size()));
+    const auto query = static_cast<std::uint32_t>(pending_.size());
+    for (const auto cell : remaining) {
+      const Waiter w{cell.packed(), query};
+      pending_waiters_.insert(std::upper_bound(pending_waiters_.begin(),
+                                               pending_waiters_.end(), w,
+                                               by_cell),
+                              w);
+    }
     PendingQuery pq;
     pq.requester = from;
-    pq.cells = remaining;
-    pq.remaining = std::move(remaining);
+    pq.waiting = static_cast<std::uint32_t>(remaining.size());
+    pq.cells = std::move(remaining);
     pq.ctx = ctx;
     pending_.push_back(std::move(pq));
   }
 }
 
 void PandasNode::on_reply(net::NodeIndex from, net::CellReplyMsg&& msg) {
-  count_fetch_traffic(net::Message(msg));
   obs::emit(trace_, obs::EventType::kReplyReceived, engine_.now(), from,
             static_cast<std::int64_t>(msg.cells.size()));
   if (causal_ != nullptr) {
@@ -430,25 +452,31 @@ CustodyState::AddResult PandasNode::ingest(std::span<const net::CellId> cells) {
         missing_samples_.erase(cell.packed());
       }
     }
-    serve_pending();
+    serve_pending(result.obtained);
   }
   check_completion();
   return result;
 }
 
-void PandasNode::serve_pending() {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    auto& pq = *it;
-    pq.remaining.erase(
-        std::remove_if(pq.remaining.begin(), pq.remaining.end(),
-                       [&](net::CellId c) { return custody_.has_cell(c); }),
-        pq.remaining.end());
-    if (pq.remaining.empty()) {
-      send_reply(pq.requester, std::move(pq.cells), pq.ctx, /*buffered=*/true);
-      it = pending_.erase(it);
-    } else {
-      ++it;
+void PandasNode::serve_pending(std::span<const net::CellId> obtained) {
+  if (pending_waiters_.empty()) return;
+  // `obtained` lists every cell that became held (reconstruction included),
+  // each once, so each waiter is visited exactly when its cell arrives.
+  ready_.clear();
+  for (const auto cell : obtained) {
+    const auto [lo, hi] =
+        std::equal_range(pending_waiters_.begin(), pending_waiters_.end(),
+                         Waiter{cell.packed(), 0}, by_cell);
+    for (auto it = lo; it != hi; ++it) {
+      if (--pending_[it->query].waiting == 0) ready_.push_back(it->query);
     }
+    pending_waiters_.erase(lo, hi);
+  }
+  // Replies draw engine keys and loss randomness: send in arrival order.
+  std::sort(ready_.begin(), ready_.end());
+  for (const auto q : ready_) {
+    auto& pq = pending_[q];
+    send_reply(pq.requester, std::move(pq.cells), pq.ctx, /*buffered=*/true);
   }
 }
 
@@ -481,8 +509,9 @@ void PandasNode::send_reply(net::NodeIndex to, std::vector<net::CellId> cells,
       if (u < profile_->corrupt_rate) tag ^= 0x6261644b5a4721ULL;  // "badKZG!"
     }
   }
-  count_fetch_traffic(net::Message(reply));
-  transport_.send(self_, to, std::move(reply));
+  net::Message msg(std::move(reply));
+  count_fetch_traffic(msg);
+  transport_.send(self_, to, std::move(msg));
 }
 
 void PandasNode::check_completion() {

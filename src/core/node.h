@@ -127,11 +127,21 @@ class PandasNode {
     obs::HopTiming hop{};  ///< the query's transit, seen at this server
   };
 
+  /// A buffered query. `cells` are the requested cells this node did not
+  /// hold when the query arrived (the held ones were served at once); the
+  /// buffered reply carries exactly these, once `waiting` reaches zero.
   struct PendingQuery {
     net::NodeIndex requester = 0;
-    std::vector<net::CellId> cells;      // full original request
-    std::vector<net::CellId> remaining;  // still unavailable
+    std::vector<net::CellId> cells;
+    std::uint32_t waiting = 0;  ///< entries of `cells` not yet held
     QueryContext ctx;
+  };
+  /// One buffered-query entry waiting for one cell; pending_waiters_ keeps
+  /// them sorted by cell, so an ingest visits only the waiters of the cells
+  /// it obtained.
+  struct Waiter {
+    std::uint32_t cell = 0;   ///< packed CellId
+    std::uint32_t query = 0;  ///< index into pending_
   };
 
   void on_seed(net::NodeIndex from, net::SeedMsg&& msg);
@@ -143,7 +153,9 @@ class PandasNode {
   /// Ingests cells into custody; updates fetch set, samples, pending
   /// queries, and completion records. Returns the custody AddResult.
   CustodyState::AddResult ingest(std::span<const net::CellId> cells);
-  void serve_pending();
+  /// Answers, in arrival order, the buffered queries whose last missing
+  /// cell is among `obtained`.
+  void serve_pending(std::span<const net::CellId> obtained);
   void check_completion();
   void send_reply(net::NodeIndex to, std::vector<net::CellId> cells,
                   const QueryContext& ctx, bool buffered = false);
@@ -179,7 +191,11 @@ class PandasNode {
   std::vector<net::CellId> samples_;
   std::unordered_set<std::uint32_t> missing_samples_;  // packed CellIds
   std::shared_ptr<AdaptiveFetcher> fetcher_;
+  /// This slot's buffered queries in arrival order (answered ones stay, with
+  /// their cells moved out, so indices remain stable until begin_slot).
   std::vector<PendingQuery> pending_;
+  std::vector<Waiter> pending_waiters_;
+  std::vector<std::uint32_t> ready_;  ///< serve_pending scratch
   /// Per-line progress tracking for the stagnation-driven fetch-set growth.
   struct TopUpProgress {
     std::uint32_t count = 0;

@@ -73,11 +73,13 @@ class PeerReputation {
   /// True while the peer is serving a greylist term. Expiry is lazy: the
   /// first query after the term halves the penalty and clears the flag.
   [[nodiscard]] bool greylisted(net::NodeIndex peer, sim::Time now) {
+    if (open_terms_ == 0) return false;  // common: no term is open
     auto it = peers_.find(peer);
     if (it == peers_.end() || it->second.greylisted_until == 0) return false;
     if (now >= it->second.greylisted_until) {
       it->second.greylisted_until = 0;
       it->second.penalty *= 0.5;
+      --open_terms_;
       return false;
     }
     return true;
@@ -121,6 +123,7 @@ class PeerReputation {
     if (e.greylisted_until == 0 && e.penalty >= params_->rep_greylist_threshold) {
       e.greylisted_until = now + params_->rep_greylist_duration;
       ++greylist_events_;
+      ++open_terms_;
       return true;
     }
     return false;
@@ -129,6 +132,9 @@ class PeerReputation {
   const ProtocolParams* params_;
   std::unordered_map<net::NodeIndex, Entry> peers_;
   std::uint64_t greylist_events_ = 0;
+  /// Greylist terms not yet lazily expired (entries with greylisted_until
+  /// set), so greylisted() skips the lookup while there are none.
+  std::uint64_t open_terms_ = 0;
   std::uint64_t corrupt_events_ = 0;
   std::uint64_t timeout_events_ = 0;
 };

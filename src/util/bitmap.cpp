@@ -28,16 +28,7 @@ void Bitmap512::set_prefix(std::uint32_t limit) noexcept {
 std::vector<std::uint32_t> Bitmap512::set_bits(std::uint32_t limit) const {
   std::vector<std::uint32_t> out;
   out.reserve(count_prefix(limit));
-  for (std::uint32_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    while (word != 0) {
-      const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
-      const std::uint32_t idx = (w << 6) + bit;
-      if (idx >= limit) return out;
-      out.push_back(idx);
-      word &= word - 1;
-    }
-  }
+  for_each_set(limit, [&](std::uint32_t idx) { out.push_back(idx); });
   return out;
 }
 

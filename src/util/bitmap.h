@@ -44,6 +44,20 @@ class Bitmap512 {
   /// Sets bits [0, limit).
   void set_prefix(std::uint32_t limit) noexcept;
 
+  /// Calls `f(index)` for each set bit among the first `limit` positions, in
+  /// ascending order, without materializing an index list.
+  template <class F>
+  void for_each_set(std::uint32_t limit, F&& f) const {
+    for (std::uint32_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        const std::uint32_t idx =
+            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(word));
+        if (idx >= limit) return;
+        f(idx);
+      }
+    }
+  }
+
   /// Indices of set bits among the first `limit` positions.
   [[nodiscard]] std::vector<std::uint32_t> set_bits(std::uint32_t limit = kCapacity) const;
 

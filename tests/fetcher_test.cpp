@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "core/fetcher.h"
 #include "core/reputation.h"
@@ -138,6 +139,84 @@ TEST(Fetcher, RedundancyGrowsAcrossRounds) {
   w.engine.run_until(sim::kSecond);
   // Round 2 wants cumulative coverage 2 -> the second node gets queried too.
   EXPECT_EQ(q.size(), 2u);
+}
+
+// The planner's under-covered bookkeeping, checked from the outside on a
+// random assignment with no replies: per round i, with k_i the cumulative
+// redundancy target,
+//  - a query asks only for cells its target holds that are still below k_i
+//    (so a candidate whose cells of interest are all covered gets none);
+//  - no cell of F ends the round above k_i;
+//  - a cell ends below k_i only when every holder has been queried.
+TEST(Fetcher, PlanningTopsEveryCellUpToRedundancyTarget) {
+  ProtocolParams params;
+  params.matrix_k = 8;
+  params.matrix_n = 16;
+  params.rows_per_node = 2;
+  params.cols_per_node = 2;
+  params.candidates_per_line = 0;  // every holder is a candidate
+  const std::uint32_t nodes = 24;
+  const auto directory = net::Directory::create(nodes);
+  const AssignmentTable table(params, directory, epoch_seed(3, 0));
+  const View view = View::full(nodes);
+  sim::Engine engine{7};
+  auto f = std::make_shared<AdaptiveFetcher>(engine, params, table, &view, 0,
+                                             engine.rng_stream(0));
+
+  util::Xoshiro256 rng(11);
+  std::set<net::CellId> f_set;
+  while (f_set.size() < 40) {
+    f_set.insert({static_cast<std::uint16_t>(rng.uniform(16)),
+                  static_cast<std::uint16_t>(rng.uniform(16))});
+  }
+  const std::vector<net::CellId> needed(f_set.begin(), f_set.end());
+  struct Sent {
+    net::NodeIndex target;
+    std::vector<net::CellId> cells;
+    std::uint32_t round;
+  };
+  std::vector<Sent> sent;
+  f->start(needed, {},
+           [&](net::NodeIndex target, std::vector<net::CellId> cells,
+               std::uint32_t round, bool redraw) {
+             EXPECT_FALSE(redraw);
+             sent.push_back({target, std::move(cells), round});
+           });
+  engine.run_until(2 * sim::kSecond);
+
+  auto holds = [&](net::NodeIndex n, net::CellId c) {
+    return table.node_has_row(n, c.row) || table.node_has_col(n, c.col);
+  };
+  std::map<net::CellId, std::uint32_t> coverage;
+  std::set<net::NodeIndex> queried;
+  std::size_t next = 0;
+  std::uint32_t checked_rounds = 0;
+  for (std::uint32_t round = 1; round <= f->rounds_used(); ++round) {
+    const std::uint32_t k = params.redundancy_for_round(round);
+    const std::size_t first = next;
+    for (; next < sent.size() && sent[next].round == round; ++next) {
+      const auto& q = sent[next];
+      EXPECT_NE(q.target, 0u);
+      EXPECT_TRUE(queried.insert(q.target).second) << "peer queried twice";
+      ASSERT_FALSE(q.cells.empty());
+      for (const auto c : q.cells) {
+        EXPECT_TRUE(f_set.count(c) != 0 && holds(q.target, c));
+        EXPECT_LT(coverage[c]++, k) << "cell already covered in round " << round;
+      }
+    }
+    // A round that sends nothing restarts the cycle (coverage resets).
+    if (next == first) break;
+    ++checked_rounds;
+    for (const auto c : needed) {
+      EXPECT_LE(coverage[c], k);
+      if (coverage[c] == k) continue;
+      for (net::NodeIndex n = 1; n < nodes; ++n) {
+        EXPECT_FALSE(holds(n, c) && queried.count(n) == 0)
+            << "round " << round << ": holder " << n << " left unqueried";
+      }
+    }
+  }
+  EXPECT_GE(checked_rounds, 3u);
 }
 
 TEST(Fetcher, ObtainedCellsLeaveF) {

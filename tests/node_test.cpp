@@ -132,6 +132,100 @@ TEST(PandasNode, QueryBufferedUntilAvailable) {
   EXPECT_TRUE(a.custody().has_cell({row, 5}));
 }
 
+/// Peers served from the buffered-query path, in send order.
+std::vector<std::uint32_t> buffered_replies(const obs::TraceSink& sink) {
+  std::vector<std::uint32_t> to;
+  for (const auto& ev : sink.events()) {
+    if (ev.type == obs::EventType::kBufferedReplyServed) to.push_back(ev.peer);
+  }
+  return to;
+}
+
+net::Message query_for(std::uint64_t slot, std::vector<net::CellId> cells) {
+  net::CellQueryMsg q;
+  q.slot = slot;
+  q.cells = std::move(cells);
+  return net::Message(std::move(q));
+}
+
+net::Message seed_of(std::uint64_t slot, std::vector<net::CellId> cells) {
+  net::SeedMsg seed;
+  seed.slot = slot;
+  seed.cells = std::move(cells);
+  seed.tags = net::proof_tags(seed.slot, seed.cells);
+  return net::Message(std::move(seed));
+}
+
+TEST(PandasNode, BufferedQueriesCompletedTogetherAnsweredInArrivalOrder) {
+  ProtoNet net;
+  auto& b = *net.nodes[1];
+  obs::TraceSink sink;
+  b.set_trace(&sink);
+  b.begin_slot(1);
+  const auto row = net.table->of(1).rows[0];
+
+  // Node 3 asks first, node 2 second, so arrival order differs from index
+  // order. Node 2's query also waits on a second cell.
+  auto q3 = query_for(1, {{row, 6}});
+  b.handle_message(3, q3);
+  auto q2 = query_for(1, {{row, 5}, {row, 7}});
+  b.handle_message(2, q2);
+  EXPECT_TRUE(buffered_replies(sink).empty());
+
+  // One ingest brings every missing cell, completing node 2's query before
+  // node 3's: both are still answered in arrival order.
+  auto seed = seed_of(1, {{row, 7}, {row, 5}, {row, 6}});
+  b.handle_message(99, seed);
+  EXPECT_EQ(buffered_replies(sink), (std::vector<std::uint32_t>{3, 2}));
+}
+
+TEST(PandasNode, BufferedQueryFlushedByReconstruction) {
+  ProtoNet net;
+  auto& a = *net.nodes[0];
+  auto& b = *net.nodes[1];
+  obs::TraceSink sink;
+  b.set_trace(&sink);
+  a.begin_slot(1);
+  b.begin_slot(1);
+  const auto row = net.table->of(1).rows[0];
+
+  // Position 20 is a parity cell no one will send B: it can only appear
+  // when B's row reaches k = 16 cells and is reconstructed.
+  const net::CellId parity{row, 20};
+  auto q = query_for(1, {parity});
+  b.handle_message(0, q);
+
+  std::vector<net::CellId> half;
+  for (std::uint16_t c = 0; c < net.params.matrix_k; ++c) half.push_back({row, c});
+  auto seed = seed_of(1, half);
+  b.handle_message(99, seed);
+  ASSERT_TRUE(b.custody().line_complete(net::LineRef::row(row)));
+  EXPECT_EQ(buffered_replies(sink), (std::vector<std::uint32_t>{0}));
+
+  net.engine.run_until(net.engine.now() + sim::kSecond);
+  EXPECT_TRUE(a.custody().has_cell(parity));
+}
+
+TEST(PandasNode, BufferedQueryDoesNotOutliveItsSlot) {
+  ProtoNet net;
+  auto& b = *net.nodes[1];
+  obs::TraceSink sink;
+  b.set_trace(&sink);
+  b.begin_slot(1);
+  const auto row = net.table->of(1).rows[0];
+
+  auto q = query_for(1, {{row, 5}});
+  b.handle_message(0, q);
+
+  // The slot ends with the query unanswered; the cell shows up only in the
+  // next slot, where it must not flush the stale query.
+  b.begin_slot(2);
+  auto seed = seed_of(2, {{row, 5}});
+  b.handle_message(99, seed);
+  EXPECT_TRUE(b.custody().has_cell({row, 5}));
+  EXPECT_TRUE(buffered_replies(sink).empty());
+}
+
 TEST(PandasNode, FallbackTimerStartsFetchWithoutSeed) {
   ProtoNet net;
   auto& a = *net.nodes[0];
