@@ -2,13 +2,18 @@
 // SHA-256, GF(2^16) arithmetic, Reed-Solomon encode/decode at Danksharding
 // line parameters, 2-D blob extension, assignment computation, the
 // event-queue hot path, and the protocol hot paths: one fetch round's
-// planning and the buffered-query path of a serving node.
+// planning, custody ingest and lookups, and the buffered-query path of a
+// serving node.
 //
 //   ./build/bench/bench_micro [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
+
 #include "core/assignment.h"
+#include "core/custody.h"
 #include "core/fetcher.h"
 #include "core/node.h"
 #include "crypto/sha256.h"
@@ -350,6 +355,52 @@ void BM_Fetcher_RunRound(benchmark::State& state) {
       static_cast<double>(queries), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_Fetcher_RunRound)->Unit(benchmark::kMicrosecond);
+
+// Custody bookkeeping of one node at paper parameters (512x512, 8 + 8
+// lines): each iteration ingests k random cells of each of its lines plus
+// 73 off-line sample cells in 32-cell replies (lines reconstruct as they
+// reach k, cascading across the crossings), then asks has_cell for every
+// position of every line, as start_fetch does.
+void BM_Custody_AddCells(benchmark::State& state) {
+  const core::ProtocolParams params;
+  const auto dir = net::Directory::create(600);
+  const core::AssignmentTable table(params, dir, core::epoch_seed(1, 0));
+  const core::AssignedLines& lines = table.of(0);
+  util::Xoshiro256 rng(11);
+  std::vector<net::CellId> cells;
+  for (const auto line : lines.lines()) {
+    for (const auto pos : rng.sample_distinct(params.matrix_n, params.matrix_k)) {
+      const auto p = static_cast<std::uint16_t>(pos);
+      cells.push_back(line.kind == net::LineRef::Kind::kRow
+                          ? net::CellId{line.index, p}
+                          : net::CellId{p, line.index});
+    }
+  }
+  for (std::uint32_t i = 0; i < params.samples_per_node; ++i) {
+    cells.push_back({static_cast<std::uint16_t>(rng.uniform(params.matrix_n)),
+                     static_cast<std::uint16_t>(rng.uniform(params.matrix_n))});
+  }
+  rng.shuffle(cells);
+  const std::span<const net::CellId> all(cells);
+  std::uint64_t held = 0;
+  for (auto _ : state) {
+    core::CustodyState custody(params, lines);
+    for (std::size_t i = 0; i < all.size(); i += 32) {
+      custody.add_cells(all.subspan(i, std::min<std::size_t>(32, all.size() - i)),
+                        /*keep_extras=*/true);
+    }
+    for (const auto line : lines.lines()) {
+      for (std::uint32_t pos = 0; pos < params.matrix_n; ++pos) {
+        const auto p = static_cast<std::uint16_t>(pos);
+        held += custody.has_cell(line.kind == net::LineRef::Kind::kRow
+                                     ? net::CellId{line.index, p}
+                                     : net::CellId{p, line.index});
+      }
+    }
+    benchmark::DoNotOptimize(held);
+  }
+}
+BENCHMARK(BM_Custody_AddCells)->Unit(benchmark::kMicrosecond);
 
 // The buffered-query path of a serving node: 256 queries of 8 cells each
 // for cells of its rows it does not hold yet (all buffered), then 64 replies

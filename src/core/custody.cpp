@@ -1,6 +1,8 @@
 #include "core/custody.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace pandas::core {
 
@@ -8,19 +10,16 @@ CustodyState::CustodyState(const ProtocolParams& params, AssignedLines lines)
     : params_(params), lines_(std::move(lines)) {
   line_bitmaps_.assign(lines_.rows.size() + lines_.cols.size(), {});
   line_complete_.assign(line_bitmaps_.size(), false);
-}
-
-int CustodyState::line_slot(net::LineRef line) const noexcept {
-  if (line.kind == net::LineRef::Kind::kRow) {
-    const auto it = std::lower_bound(lines_.rows.begin(), lines_.rows.end(),
-                                     line.index);
-    if (it == lines_.rows.end() || *it != line.index) return -1;
-    return static_cast<int>(it - lines_.rows.begin());
+  if (line_bitmaps_.size() >= std::numeric_limits<std::uint8_t>::max()) {
+    throw std::invalid_argument("CustodyState: too many assigned lines");
   }
-  const auto it =
-      std::lower_bound(lines_.cols.begin(), lines_.cols.end(), line.index);
-  if (it == lines_.cols.end() || *it != line.index) return -1;
-  return static_cast<int>(lines_.rows.size() + (it - lines_.cols.begin()));
+  for (std::size_t s = 0; s < line_bitmaps_.size(); ++s) {
+    const net::LineRef line = slot_line(s);
+    const std::size_t i = line.kind == net::LineRef::Kind::kRow
+                              ? line.index
+                              : util::Bitmap512::kCapacity + line.index;
+    slot_of_.at(i) = static_cast<std::uint8_t>(s + 1);
+  }
 }
 
 net::LineRef CustodyState::slot_line(std::size_t slot) const noexcept {
@@ -33,14 +32,6 @@ bool CustodyState::mark(std::size_t slot, std::uint32_t pos) noexcept {
   if (bm.test(pos)) return false;
   bm.set(pos);
   return true;
-}
-
-bool CustodyState::has_cell(net::CellId cell) const noexcept {
-  const int row_slot = line_slot(net::LineRef::row(cell.row));
-  if (row_slot >= 0 && line_bitmaps_[row_slot].test(cell.col)) return true;
-  const int col_slot = line_slot(net::LineRef::col(cell.col));
-  if (col_slot >= 0 && line_bitmaps_[col_slot].test(cell.row)) return true;
-  return extras_.count(cell.packed()) != 0;
 }
 
 bool CustodyState::line_complete(net::LineRef line) const noexcept {
@@ -104,7 +95,7 @@ CustodyState::AddResult CustodyState::add_cells(
   for (const auto cell : cells) {
     const int row_slot = line_slot(net::LineRef::row(cell.row));
     const int col_slot = line_slot(net::LineRef::col(cell.col));
-    const bool was_held = has_cell(cell);
+    const bool was_held = held_in(cell, row_slot, col_slot);
     if (row_slot >= 0) {
       if (mark(static_cast<std::size_t>(row_slot), cell.col) &&
           !line_complete_[row_slot]) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <unordered_set>
@@ -38,7 +39,10 @@ class CustodyState {
   /// "extras" when `keep_extras` (used for sample cells).
   AddResult add_cells(std::span<const net::CellId> cells, bool keep_extras);
 
-  [[nodiscard]] bool has_cell(net::CellId cell) const noexcept;
+  [[nodiscard]] bool has_cell(net::CellId cell) const noexcept {
+    return held_in(cell, line_slot(net::LineRef::row(cell.row)),
+                   line_slot(net::LineRef::col(cell.col)));
+  }
 
   [[nodiscard]] bool line_complete(net::LineRef line) const noexcept;
   [[nodiscard]] std::uint32_t line_count(net::LineRef line) const noexcept;
@@ -56,8 +60,24 @@ class CustodyState {
 
  private:
   /// Index into line_bitmaps_ for an assigned line; -1 if not assigned.
-  [[nodiscard]] int line_slot(net::LineRef line) const noexcept;
+  /// O(1) through the dense slot_of_ table.
+  [[nodiscard]] int line_slot(net::LineRef line) const noexcept {
+    const std::size_t i = line.kind == net::LineRef::Kind::kRow
+                              ? line.index
+                              : util::Bitmap512::kCapacity + line.index;
+    return line.index < util::Bitmap512::kCapacity
+               ? static_cast<int>(slot_of_[i]) - 1
+               : -1;
+  }
   [[nodiscard]] net::LineRef slot_line(std::size_t slot) const noexcept;
+  /// has_cell with the cell's row and column slots already looked up.
+  [[nodiscard]] bool held_in(net::CellId cell, int row_slot,
+                             int col_slot) const noexcept {
+    if (row_slot >= 0 && line_bitmaps_[row_slot].test(cell.col)) return true;
+    if (col_slot >= 0) return line_bitmaps_[col_slot].test(cell.row);
+    // extras_ only holds cells outside every assigned line.
+    return row_slot < 0 && extras_.count(cell.packed()) != 0;
+  }
 
   /// Marks one cell inside an assigned line's bitmap; returns true if new.
   bool mark(std::size_t slot, std::uint32_t pos) noexcept;
@@ -71,7 +91,12 @@ class CustodyState {
   std::vector<util::Bitmap512> line_bitmaps_;  // rows then cols
   std::vector<bool> line_complete_;
   std::uint32_t complete_lines_ = 0;
-  std::unordered_set<std::uint32_t> extras_;  // packed CellIds outside lines
+  /// Dense line -> 1 + slot in line_bitmaps_ (0 = not assigned): rows, then
+  /// columns, Bitmap512::kCapacity entries each.
+  std::array<std::uint8_t, 2 * util::Bitmap512::kCapacity> slot_of_{};
+  /// Packed CellIds held outside every assigned line (samples). A cell on
+  /// an assigned line is never stored here.
+  std::unordered_set<std::uint32_t> extras_;
 };
 
 }  // namespace pandas::core

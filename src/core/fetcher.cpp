@@ -7,6 +7,14 @@
 
 namespace pandas::core {
 
+namespace {
+
+std::uint32_t coverage_key(net::CellId cell) {
+  return util::CellCounts::key(cell.row, cell.col);
+}
+
+}  // namespace
+
 AdaptiveFetcher::AdaptiveFetcher(sim::Engine& engine, const ProtocolParams& params,
                                  const AssignmentTable& assignment,
                                  const View* view, net::NodeIndex self,
@@ -31,29 +39,40 @@ const util::Bitmap512* AdaptiveFetcher::find_line(net::LineRef line) const {
   return &map[static_cast<std::size_t>(slot)].second;
 }
 
-util::Bitmap512& AdaptiveFetcher::need_line(net::LineRef line) {
-  if (auto* bm = find_line(line)) return *bm;
-  const bool is_row = line.kind == net::LineRef::Kind::kRow;
-  MissingMap& map = is_row ? missing_rows_ : missing_cols_;
-  const auto it = std::lower_bound(
-      map.begin(), map.end(), line.index,
-      [](const auto& e, std::uint16_t i) { return e.first < i; });
-  const auto pos = it - map.begin();
-  map.insert(it, {line.index, {}});
-  // Positions at and after the insertion shifted by one.
-  const std::size_t base = is_row ? 0 : util::Bitmap512::kCapacity;
-  for (std::size_t i = static_cast<std::size_t>(pos); i < map.size(); ++i) {
+void AdaptiveFetcher::merge_lines(MissingMap& map, const util::Bitmap512& added,
+                                  std::size_t base) {
+  MissingMap merged;
+  merged.reserve(map.size() + added.count());
+  auto it = map.begin();
+  added.for_each_set(util::Bitmap512::kCapacity, [&](std::uint32_t index) {
+    for (; it != map.end() && it->first < index; ++it) merged.push_back(*it);
+    merged.push_back({static_cast<std::uint16_t>(index), {}});
+  });
+  merged.insert(merged.end(), it, map.end());
+  map = std::move(merged);
+  for (std::size_t i = 0; i < map.size(); ++i) {
     line_slot_[base + map[i].first] = static_cast<std::uint16_t>(i + 1);
   }
-  return map[static_cast<std::size_t>(pos)].second;
 }
 
 void AdaptiveFetcher::add_needed(std::span<const net::CellId> cells) {
+  // Lines new to F join each sorted map in one merge, so growing F costs
+  // O(lines) per call rather than a shifted insert per new line.
+  util::Bitmap512 new_rows;
+  util::Bitmap512 new_cols;
   for (const auto cell : cells) {
-    auto& row = need_line(net::LineRef::row(cell.row));
+    if (line_slot(net::LineRef::row(cell.row)) < 0) new_rows.set(cell.row);
+    if (line_slot(net::LineRef::col(cell.col)) < 0) new_cols.set(cell.col);
+  }
+  if (new_rows.count() != 0) merge_lines(missing_rows_, new_rows, 0);
+  if (new_cols.count() != 0) {
+    merge_lines(missing_cols_, new_cols, util::Bitmap512::kCapacity);
+  }
+  for (const auto cell : cells) {
+    auto& row = *find_line(net::LineRef::row(cell.row));
     if (row.test(cell.col)) continue;  // already in F
     row.set(cell.col);
-    need_line(net::LineRef::col(cell.col)).set(cell.row);
+    find_line(net::LineRef::col(cell.col))->set(cell.row);
     ++outstanding_;
   }
 }
@@ -88,7 +107,7 @@ bool AdaptiveFetcher::clear_cell(net::CellId cell) {
   if (row == nullptr || !row->test(cell.col)) return false;
   row->reset(cell.col);
   if (auto* col = find_line(net::LineRef::col(cell.col))) col->reset(cell.row);
-  coverage_.erase(cell.packed());
+  coverage_.erase(coverage_key(cell));
   --outstanding_;
   return true;
 }
@@ -159,8 +178,7 @@ void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
   for (const auto cell : cells) {
     if (!is_outstanding(cell)) continue;
     // Release the coverage the forged reply was credited with.
-    const auto it = coverage_.find(cell.packed());
-    if (it != coverage_.end() && it->second > 0) --it->second;
+    coverage_.decrement(coverage_key(cell));
     need.push_back(cell);
   }
   if (need.empty() || !rounds_active_ || round_ == 0) return;
@@ -168,19 +186,23 @@ void AdaptiveFetcher::on_corrupt_reply(net::NodeIndex from,
   // Immediate redraw: one replacement query per forged cell, planned over
   // the clean candidates only (the forger is already queried this cycle and
   // the reputation hit has demoted any accomplices).
-  for (auto& cand : rank_candidates(1)) {
-    if (need.empty()) break;
-    materialize_interest(cand);
+  CandidateRanking ranking = rank_candidates(1);
+  std::vector<net::CellId> interest;
+  for (net::NodeIndex node; !need.empty() &&
+                            (node = ranking.pop()) != net::kInvalidNode;) {
+    materialize_interest(node, interest);
     std::vector<net::CellId> query_cells;
-    for (const auto cell : cand.interest) {
+    for (const auto cell : interest) {
       const auto hit = std::find(need.begin(), need.end(), cell);
       if (hit == need.end()) continue;
       need.erase(hit);
       query_cells.push_back(cell);
     }
     if (query_cells.empty()) continue;
-    for (const auto cell : query_cells) ++coverage_[cell.packed()];
-    dispatch(cand.node, std::move(query_cells), current_round_end(),
+    for (const auto cell : query_cells) {
+      coverage_.increment(coverage_key(cell));
+    }
+    dispatch(node, std::move(query_cells), current_round_end(),
              /*redraw=*/true);
   }
 }
@@ -262,16 +284,18 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
   // out of the existing ranking.
   net::NodeIndex target = net::kInvalidNode;
   std::vector<net::CellId> hedge_cells;
-  for (auto& cand : rank_candidates(1)) {
-    materialize_interest(cand);
+  CandidateRanking ranking = rank_candidates(1);
+  std::vector<net::CellId> interest;
+  for (net::NodeIndex node; (node = ranking.pop()) != net::kInvalidNode;) {
+    materialize_interest(node, interest);
     std::vector<net::CellId> overlap;
-    for (const auto cell : cand.interest) {
+    for (const auto cell : interest) {
       if (std::find(need.begin(), need.end(), cell) != need.end()) {
         overlap.push_back(cell);
       }
     }
     if (overlap.empty()) continue;
-    target = cand.node;
+    target = node;
     hedge_cells = std::move(overlap);
     break;
   }
@@ -293,7 +317,9 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
 
   ++hedges;
   ++hedges_sent_;
-  for (const auto cell : hedge_cells) ++coverage_[cell.packed()];
+  for (const auto cell : hedge_cells) {
+    coverage_.increment(coverage_key(cell));
+  }
   hedge_of_[target] = peer;
   obs::emit(trace_, obs::EventType::kHedgeSent, engine_.now(), target,
             static_cast<std::int64_t>(hedge_cells.size()), peer);
@@ -301,22 +327,35 @@ void AdaptiveFetcher::on_rto(net::NodeIndex peer, std::uint32_t round) {
            /*redraw=*/true);
 }
 
-std::vector<AdaptiveFetcher::Candidate> AdaptiveFetcher::rank_candidates(
-    std::uint32_t k) {
+CandidateRanking::CandidateRanking(std::vector<Entry> entries)
+    : heap_(std::move(entries)) {
+  std::make_heap(heap_.begin(), heap_.end(), ranks_below);
+}
+
+bool CandidateRanking::ranks_below(const Entry& a, const Entry& b) {
+  if (a.score != b.score) return a.score < b.score;
+  return a.tie > b.tie;
+}
+
+net::NodeIndex CandidateRanking::pop() {
+  if (heap_.empty()) return net::kInvalidNode;
+  std::pop_heap(heap_.begin(), heap_.end(), ranks_below);
+  const net::NodeIndex node = heap_.back().node;
+  heap_.pop_back();
+  return node;
+}
+
+CandidateRanking AdaptiveFetcher::rank_candidates(std::uint32_t k) {
   std::vector<net::NodeIndex> pool;
   gather_candidates(k, pool);
-  std::vector<Candidate> candidates;
-  score_candidates(pool, candidates);
+  std::vector<CandidateRanking::Entry> scored;
+  score_candidates(pool, scored);
   // Ties are broken by a per-call random salt rather than node index: with
   // index order every fetcher in the network would converge on the same
   // lowest-index holders and overload their uplinks.
   const std::uint64_t salt = rng_();
-  std::sort(candidates.begin(), candidates.end(),
-            [salt](const Candidate& a, const Candidate& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
-            });
-  return candidates;
+  for (auto& e : scored) e.tie = util::mix64(e.node ^ salt);
+  return CandidateRanking(std::move(scored));
 }
 
 void AdaptiveFetcher::gather_candidates(std::uint32_t k,
@@ -330,17 +369,19 @@ void AdaptiveFetcher::gather_candidates(std::uint32_t k,
           ? ~0u
           : std::max(params_.candidates_per_line, 3 * k);
 
+  // Each node is judged once per call: a node appears on many lines of F,
+  // and none of the filters can change within the call (a repeated
+  // greylisted() query at the same instant answers the same).
   auto add = [&](net::NodeIndex n) {
+    if (n >= seen_.size() || seen_[n] == seen_stamp_) return;
+    seen_[n] = seen_stamp_;
     if (n == self_ || queried_round(n) != 0 ||
         (view_ != nullptr && !view_->contains(n))) {
       return;
     }
-    if (n >= seen_.size()) seen_.resize(n + 1, 0);
-    if (seen_[n] == seen_stamp_) return;
     if (reputation_ != nullptr && reputation_->greylisted(n, engine_.now())) {
       return;
     }
-    seen_[n] = seen_stamp_;
     out.push_back(n);
   };
 
@@ -350,16 +391,11 @@ void AdaptiveFetcher::gather_candidates(std::uint32_t k,
     const auto* missing = find_line(lb->line);
     if (missing == nullptr) continue;
     std::uint32_t taken = 0;
-    net::NodeIndex last = net::kInvalidNode;
-    for (const auto& [node, pos] : lb->entries) {
-      if (node == last) continue;
-      if (!missing->test(pos)) continue;
-      last = node;
+    lb->for_each_marked_recipient(*missing, [&](net::NodeIndex node) {
       add(node);
-      if (++taken >= cap) break;
-    }
+      return ++taken < cap;
+    });
   }
-
   // Then, per line of interest, a random sample of assigned nodes.
   auto sample_line = [&](net::LineRef line) {
     const auto& pool = assignment_.assigned_to(line);
@@ -381,11 +417,11 @@ void AdaptiveFetcher::gather_candidates(std::uint32_t k,
 }
 
 void AdaptiveFetcher::score_candidates(const std::vector<net::NodeIndex>& nodes,
-                                       std::vector<Candidate>& out) {
-  // Scoring only needs |cells of interest| and the boosted seeded cells;
-  // the interest list itself is built at planning time for the (far fewer)
-  // candidates that actually get a query. Missing-cell counts per line come
-  // from one dense table (rows, then columns) built once per call.
+                                       std::vector<CandidateRanking::Entry>& out) {
+  // Scoring only needs |cells of interest| and the number of boosted seeded
+  // cells; the cell lists themselves are built for the (far fewer)
+  // candidates that get popped. Missing-cell counts per line come from one
+  // dense table (rows, then columns) built once per call.
   const std::uint32_t n = params_.matrix_n;
   std::vector<std::uint32_t> missing_in(2 * util::Bitmap512::kCapacity, 0);
   for (const auto& [row, bm] : missing_rows_) {
@@ -396,8 +432,6 @@ void AdaptiveFetcher::score_candidates(const std::vector<net::NodeIndex>& nodes,
   }
   out.reserve(nodes.size());
   for (const auto node : nodes) {
-    Candidate cand;
-    cand.node = node;
     const AssignedLines& lines = assignment_.of(node);
     std::uint32_t interest = 0;
     for (const auto r : lines.rows) interest += missing_in[r];
@@ -407,52 +441,66 @@ void AdaptiveFetcher::score_candidates(const std::vector<net::NodeIndex>& nodes,
     if (interest == 0) continue;
     // (Cells sitting at the intersection of two of the candidate's own lines
     // are counted twice; the bias is negligible for ranking.)
-    cand.score = static_cast<double>(interest);
+    double score = static_cast<double>(interest);
 
     // Consolidation-boost: +cb_boost per missing cell the builder declared
-    // as seeded to this candidate (Algorithm 1, lines 7-9). The seeded cells
-    // are also remembered so planning can target them precisely.
+    // as seeded to this candidate (Algorithm 1, lines 7-9).
+    std::uint32_t seeded = 0;
     for (const auto& lb : boost_) {
       if (!lb) continue;
       if (!assignment_.node_has_line(node, lb->line)) continue;
-      const auto* missing = find_line(lb->line);
-      if (missing == nullptr) continue;
-      const auto [lo, hi] = lb->range_of(node);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::uint16_t pos = lb->entries[i].second;
-        if (!missing->test(pos)) continue;
-        cand.seeded.push_back(lb->line.kind == net::LineRef::Kind::kRow
-                                  ? net::CellId{lb->line.index, pos}
-                                  : net::CellId{pos, lb->line.index});
+      if (const auto* missing = find_line(lb->line)) {
+        seeded += lb->count_marked(node, *missing);
       }
     }
-    cand.score += params_.cb_boost * static_cast<double>(cand.seeded.size());
+    score += params_.cb_boost * static_cast<double>(seeded);
     // Reputation demotes the whole score (boost included): a boosted holder
     // that previously served garbage loses ties to clean fallback peers.
-    if (reputation_ != nullptr) cand.score *= reputation_->weight(node);
-    out.push_back(std::move(cand));
+    if (reputation_ != nullptr) score *= reputation_->weight(node);
+    out.push_back({score, 0, node});
   }
 }
 
-void AdaptiveFetcher::materialize_interest(Candidate& cand) const {
-  const AssignedLines& lines = assignment_.of(cand.node);
+void AdaptiveFetcher::materialize_seeded(net::NodeIndex node,
+                                         std::vector<net::CellId>& out) const {
+  out.clear();
+  for (const auto& lb : boost_) {
+    if (!lb) continue;
+    if (!assignment_.node_has_line(node, lb->line)) continue;
+    const auto* missing = find_line(lb->line);
+    if (missing == nullptr) continue;
+    const bool is_row = lb->line.kind == net::LineRef::Kind::kRow;
+    lb->for_each_run_of(node, [&](std::uint16_t first, std::uint32_t len) {
+      for (std::uint32_t pos = first; pos < first + len; ++pos) {
+        if (!missing->test(pos)) continue;
+        const auto p = static_cast<std::uint16_t>(pos);
+        out.push_back(is_row ? net::CellId{lb->line.index, p}
+                             : net::CellId{p, lb->line.index});
+      }
+    });
+  }
+}
+
+void AdaptiveFetcher::materialize_interest(net::NodeIndex node,
+                                           std::vector<net::CellId>& out) const {
+  out.clear();
+  const AssignedLines& lines = assignment_.of(node);
   for (const auto r : lines.rows) {
     if (const auto* bm = find_line(net::LineRef::row(r))) {
       bm->for_each_set(params_.matrix_n, [&](std::uint32_t col) {
-        cand.interest.push_back({r, static_cast<std::uint16_t>(col)});
+        out.push_back({r, static_cast<std::uint16_t>(col)});
       });
     }
   }
   for (const auto c : lines.cols) {
     if (const auto* bm = find_line(net::LineRef::col(c))) {
       bm->for_each_set(params_.matrix_n, [&](std::uint32_t row) {
-        cand.interest.push_back({static_cast<std::uint16_t>(row), c});
+        out.push_back({static_cast<std::uint16_t>(row), c});
       });
     }
   }
-  std::sort(cand.interest.begin(), cand.interest.end());
-  cand.interest.erase(std::unique(cand.interest.begin(), cand.interest.end()),
-                      cand.interest.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 void AdaptiveFetcher::record_round_timeouts(std::uint32_t round) {
@@ -492,7 +540,7 @@ void AdaptiveFetcher::run_round() {
   const sim::Time timeout = params_.timeout_for_round(cycle_round);
   const sim::Time round_end = engine_.now() + timeout;
 
-  auto candidates = rank_candidates(k);
+  CandidateRanking ranking = rank_candidates(k);
 
   // Greedy planning (Algorithm 1, lines 11-17): walk candidates by
   // decreasing score; each planned query asks a candidate for its cells of
@@ -516,27 +564,43 @@ void AdaptiveFetcher::run_round() {
     const std::uint16_t row = missing_rows_[i].first;
     missing_rows_[i].second.for_each_set(n, [&](std::uint32_t col) {
       const net::CellId cell{row, static_cast<std::uint16_t>(col)};
-      const auto it = coverage_.find(cell.packed());
-      if (it != coverage_.end() && it->second >= k) return;
+      if (coverage_.get(coverage_key(cell)) >= k) return;
       under_rows[i].set(col);
       under_of(net::LineRef::col(cell.col))->set(row);
       ++under;
     });
   }
 
-  for (auto& cand : candidates) {
-    if (under == 0) break;
+  std::vector<net::CellId> seeded;
+  for (net::NodeIndex node;
+       under != 0 && (node = ranking.pop()) != net::kInvalidNode;) {
+    // A candidate none of whose lines still holds a cell under target gets
+    // no query (its seeded cells lie on those lines too).
+    const AssignedLines& lines = assignment_.of(node);
+    const auto under_on = [&](net::LineRef line) {
+      const auto* bits = under_of(line);
+      return bits != nullptr && bits->any_in(0, n);
+    };
+    bool any_under = false;
+    for (const auto r : lines.rows) {
+      any_under = any_under || under_on(net::LineRef::row(r));
+    }
+    for (const auto c : lines.cols) {
+      any_under = any_under || under_on(net::LineRef::col(c));
+    }
+    if (!any_under) continue;
     // Prefer the cells the boost map says this candidate was seeded (it can
     // serve them without waiting for its own consolidation); fall back to
-    // its full set of cells of interest otherwise.
+    // its full set of cells of interest otherwise. F does not change during
+    // planning, so materializing them now equals doing so at scoring time.
     std::vector<net::CellId> query_cells;
-    for (const auto cell : cand.seeded) {
+    materialize_seeded(node, seeded);
+    for (const auto cell : seeded) {
       if (under_of(net::LineRef::row(cell.row))->test(cell.col)) {
         query_cells.push_back(cell);
       }
     }
     if (query_cells.empty()) {
-      const AssignedLines& lines = assignment_.of(cand.node);
       for (const auto r : lines.rows) {
         if (const auto* bits = under_of(net::LineRef::row(r))) {
           bits->for_each_set(n, [&](std::uint32_t col) {
@@ -551,18 +615,19 @@ void AdaptiveFetcher::run_round() {
           });
         }
       }
-      if (query_cells.empty()) continue;
       std::sort(query_cells.begin(), query_cells.end());
       query_cells.erase(std::unique(query_cells.begin(), query_cells.end()),
                         query_cells.end());
     }
     for (const auto cell : query_cells) {
-      if (++coverage_[cell.packed()] != k) continue;
+      if (coverage_.increment(coverage_key(cell)) != k) {
+        continue;
+      }
       under_of(net::LineRef::row(cell.row))->reset(cell.col);
       under_of(net::LineRef::col(cell.col))->reset(cell.row);
       --under;
     }
-    dispatch(cand.node, std::move(query_cells), round_end, /*redraw=*/false);
+    dispatch(node, std::move(query_cells), round_end, /*redraw=*/false);
   }
 
   // Candidate pool exhausted while cells are still missing: begin a fresh

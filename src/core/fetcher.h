@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "util/bitmap.h"
+#include "util/cell_counts.h"
 #include "util/prng.h"
 
 /// Adaptive fetching (paper §7, Algorithm 1).
@@ -67,6 +68,30 @@ struct FetchRoundStats {
   std::uint32_t reconstructed = 0;
   /// Cells still missing when the round's timeout expired.
   std::uint64_t remaining_after = 0;
+};
+
+/// Scored fetch candidates, handed out lazily in rank order: decreasing
+/// score, ties broken by a salted key fixed once per ranking (lower wins).
+/// Planning sends far fewer queries than there are candidates, so a heap
+/// popped on demand replaces a full sort. With distinct nodes the order is
+/// strict (the fetcher's key, mix64(node ^ salt), is a bijection of the
+/// node index), so the pop order is exactly the sorted order.
+class CandidateRanking {
+ public:
+  struct Entry {
+    double score = 0.0;
+    std::uint64_t tie = 0;
+    net::NodeIndex node = 0;
+  };
+  explicit CandidateRanking(std::vector<Entry> entries);
+  /// Next candidate in rank order, or kInvalidNode once exhausted.
+  net::NodeIndex pop();
+
+ private:
+  /// Heap order: true when `a` ranks below `b`.
+  static bool ranks_below(const Entry& a, const Entry& b);
+
+  std::vector<Entry> heap_;
 };
 
 /// Hold AdaptiveFetcher in a std::shared_ptr: its round timers keep weak
@@ -178,29 +203,24 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   }
 
  private:
-  struct Candidate {
-    net::NodeIndex node = 0;
-    double score = 0.0;
-    std::vector<net::CellId> interest;
-    /// Subset of `interest` the consolidation-boost map declares as seeded
-    /// to this node — cells it can serve immediately. Planning prefers
-    /// these: asking a seeded holder for exactly its seeded cells is what
-    /// makes round-1 replies immediate (Table 1).
-    std::vector<net::CellId> seeded;
-  };
-
   using MissingMap = std::vector<std::pair<std::uint16_t, util::Bitmap512>>;
 
   void run_round();
-  /// Gathers and scores candidates, then ranks them by decreasing score with
-  /// ties broken by a fresh per-call salt. Shared by round planning, corrupt
-  /// redraws and hedges.
-  std::vector<Candidate> rank_candidates(std::uint32_t k);
+  /// Gathers and scores candidates, then ranks them. Shared by round
+  /// planning, corrupt redraws and hedges.
+  CandidateRanking rank_candidates(std::uint32_t k);
   void gather_candidates(std::uint32_t k, std::vector<net::NodeIndex>& out);
+  /// Scores each node by its cells of interest plus cb_boost per missing
+  /// cell seeded to it; nodes with no cell of interest are dropped.
   void score_candidates(const std::vector<net::NodeIndex>& nodes,
-                        std::vector<Candidate>& out);
-  /// Fills cand.interest (assignment ∩ F) on demand (redraws and hedges).
-  void materialize_interest(Candidate& cand) const;
+                        std::vector<CandidateRanking::Entry>& out);
+  /// Fills `out` with `node`'s cells of interest (assignment ∩ F), sorted.
+  void materialize_interest(net::NodeIndex node,
+                            std::vector<net::CellId>& out) const;
+  /// Fills `out` with the cells of F the consolidation-boost map declares
+  /// as seeded to `node` — cells it can serve immediately — in boost order.
+  void materialize_seeded(net::NodeIndex node,
+                          std::vector<net::CellId>& out) const;
   /// Position of `line` in its MissingMap, or -1 when none of its cells is
   /// in F. O(1) through the dense line_slot_ table.
   [[nodiscard]] int line_slot(net::LineRef line) const {
@@ -214,8 +234,11 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   [[nodiscard]] util::Bitmap512* find_line(net::LineRef line) {
     return const_cast<util::Bitmap512*>(std::as_const(*this).find_line(line));
   }
-  /// F's bitmap for `line`, inserting an empty one (kept sorted) if absent.
-  util::Bitmap512& need_line(net::LineRef line);
+  /// Merges the lines set in `added` (none already present) into `map` as
+  /// empty bitmaps, keeping it sorted and exactly sized, and re-indexes
+  /// line_slot_ (rows at offset 0, columns at Bitmap512::kCapacity).
+  void merge_lines(MissingMap& map, const util::Bitmap512& added,
+                   std::size_t base);
   /// Clears one cell from both indexes; returns true if it was outstanding.
   bool clear_cell(net::CellId cell);
   FetchRoundStats& stats_for_round(std::uint32_t round);
@@ -276,8 +299,8 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   MissingMap missing_rows_;
   MissingMap missing_cols_;
   /// Dense line -> 1 + MissingMap position (0 = no missing cell): rows,
-  /// then columns, Bitmap512::kCapacity entries each. Updated when a line
-  /// joins F.
+  /// then columns, Bitmap512::kCapacity entries each. Rebuilt when lines
+  /// join F.
   std::vector<std::uint16_t> line_slot_;
   std::uint64_t outstanding_ = 0;
   std::uint64_t initial_outstanding_ = 0;
@@ -295,14 +318,15 @@ class AdaptiveFetcher : public std::enable_shared_from_this<AdaptiveFetcher> {
   /// Per peer: replied to its outstanding query (re-querying in a later
   /// cycle clears it again), for round-timeout attribution.
   std::vector<bool> replied_;
-  /// gather_candidates' de-duplication: a peer was seen in the current call
-  /// iff its stamp equals seen_stamp_, so no per-call clearing is needed.
+  /// gather_candidates' de-duplication: a peer was judged in the current
+  /// call iff its stamp equals seen_stamp_, so no per-call clearing is needed.
   std::vector<std::uint16_t> seen_;
   std::uint16_t seen_stamp_ = 0;
-  /// Cumulative per-cell query count (packed CellId -> queries planned so
-  /// far). Redundancy targets are cumulative: round i tops every cell up to
-  /// k_i total outstanding queries.
-  std::unordered_map<std::uint32_t, std::uint32_t> coverage_;
+  /// Cumulative per-cell query count (queries planned so far this cycle,
+  /// keyed by util::CellCounts::key). Redundancy targets are cumulative:
+  /// round i tops every cell up to k_i total outstanding queries. Cells
+  /// leave it as they leave F.
+  util::CellCounts coverage_;
   std::vector<FetchRoundStats> stats_;
 
   /// ---- RTT / hedging state (inert when rtt_ == nullptr) ----

@@ -206,6 +206,10 @@ void get_hop(Reader& r, obs::HopTiming& h) {
   h.delivered = static_cast<sim::Time>(r.u64());
 }
 
+/// Boost maps travel as runs: per line, (node u32, first u16, len u16) for
+/// each maximal stretch of consecutive positions seeded to one node. The
+/// builder seeds contiguous parcels, so this is ~8 B per parcel instead of
+/// 6 B per cell — a redundant-policy seed's map then fits one datagram.
 template <typename W>
 void put_boost(W& w, const BoostMap& boost) {
   std::uint32_t lines = 0;
@@ -216,14 +220,23 @@ void put_boost(W& w, const BoostMap& boost) {
   for (const auto& lb : boost) {
     if (!lb) continue;
     w.u16(lb->line.packed());
-    w.u32(static_cast<std::uint32_t>(lb->entries.size()));
-    for (const auto& [node, pos] : lb->entries) {
-      w.u32(node);
-      w.u16(pos);
+    std::uint32_t runs = 0;
+    for (std::size_t i = 0; i < lb->entries.size(); i = lb->run_end(i)) ++runs;
+    w.u32(runs);
+    for (std::size_t i = 0; i < lb->entries.size();) {
+      const std::size_t end = lb->run_end(i);
+      w.u32(lb->entries[i].first);
+      w.u16(lb->entries[i].second);
+      w.u16(static_cast<std::uint16_t>(end - i));
+      i = end;
     }
   }
 }
 
+/// Inverse of put_boost. Runs must be canonical — non-empty, inside one
+/// line (Bitmap512::kCapacity positions, the largest matrix), sorted by
+/// (node, first) and maximal (a node's next run starts past a gap) — so
+/// every accepted map re-encodes to the same bytes.
 bool get_boost(Reader& r, BoostMap& boost) {
   const auto lines = r.u32();
   if (!r.ok() || lines > 4096) return false;
@@ -233,14 +246,26 @@ bool get_boost(Reader& r, BoostMap& boost) {
     const auto packed = r.u16();
     lb->line.kind = (packed & 0x8000) ? LineRef::Kind::kCol : LineRef::Kind::kRow;
     lb->line.index = static_cast<std::uint16_t>(packed & 0x7fff);
-    const auto count = r.u32();
-    if (!r.ok() || count > kMaxSeq) return false;
-    lb->entries.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    const auto runs = r.u32();
+    if (!r.ok() || runs > kMaxSeq) return false;
+    NodeIndex prev_node = 0;
+    std::uint32_t prev_end = 0;  // one past the previous run's last position
+    for (std::uint32_t i = 0; i < runs; ++i) {
       const auto node = r.u32();
-      const auto pos = r.u16();
-      if (!r.ok()) return false;
-      lb->entries.emplace_back(node, pos);
+      const std::uint32_t first = r.u16();
+      const std::uint32_t len = r.u16();
+      if (!r.ok() || len == 0 || first + len > util::Bitmap512::kCapacity) {
+        return false;
+      }
+      if (i > 0 && (node < prev_node || (node == prev_node && first <= prev_end))) {
+        return false;  // out of order, overlapping or not maximal
+      }
+      if (lb->entries.size() + len > kMaxSeq) return false;
+      for (std::uint32_t pos = first; pos < first + len; ++pos) {
+        lb->entries.emplace_back(node, static_cast<std::uint16_t>(pos));
+      }
+      prev_node = node;
+      prev_end = first + len;
     }
     lb->finalize();
     boost.push_back(std::move(lb));
@@ -411,9 +436,10 @@ void fragment_cells(T&& m, const DatagramBudget& budget,
     if (cap == 0) {
       if constexpr (std::is_same_v<T, SeedMsg>) {
         // A boost map so large it fills the whole datagram: emit it alone
-        // and let the cells follow in boost-free fragments. (Unreachable at
-        // realistic parameters; the transport still accounts for any
-        // fragment that ends up over the wire limit.)
+        // and let the cells follow in boost-free fragments. (Run encoding
+        // keeps a redundant-policy map near 8 B per seeded parcel, far
+        // below the limit; the transport still accounts for any fragment
+        // that ends up over it.)
         if (first && !part.boost.empty() && base < all.size()) {
           out.emplace_back(std::move(part));
           first = false;

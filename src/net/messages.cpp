@@ -144,14 +144,11 @@ const char* msg_class_name(MsgClass c) noexcept {
   return "unknown";
 }
 
-std::pair<std::size_t, std::size_t> LineBoost::range_of(NodeIndex node) const {
-  const auto lo = std::lower_bound(
-      entries.begin(), entries.end(), node,
-      [](const auto& e, NodeIndex n) { return e.first < n; });
-  auto hi = lo;
-  while (hi != entries.end() && hi->first == node) ++hi;
-  return {static_cast<std::size_t>(lo - entries.begin()),
-          static_cast<std::size_t>(hi - entries.begin())};
+std::size_t LineBoost::first_of(NodeIndex node) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(entries.begin(), entries.end(), node,
+                       [](const auto& e, NodeIndex n) { return e.first < n; }) -
+      entries.begin());
 }
 
 std::size_t carried_cells(const Message& msg) noexcept {

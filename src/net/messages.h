@@ -97,8 +97,70 @@ struct LineBoost {
     }
   }
 
-  /// Entries for one recipient: [first, last) half-open range.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> range_of(NodeIndex node) const;
+  /// Index of the first entry of `node` (or of the next recipient after it).
+  [[nodiscard]] std::size_t first_of(NodeIndex node) const;
+
+  /// End (exclusive) of the run that starts at entries[i]: the longest
+  /// stretch (node, pos), (node, pos + 1), ... Entries are sorted and
+  /// unique, so entries[i + d] == (node, pos + d) holds exactly for the d
+  /// inside the run, and an exponential search finds the end in
+  /// O(log run length) probes.
+  [[nodiscard]] std::size_t run_end(std::size_t i) const noexcept {
+    const auto [node, pos] = entries[i];
+    const auto in_run = [&](std::size_t d) {
+      return i + d < entries.size() && entries[i + d].first == node &&
+             entries[i + d].second == pos + d;
+    };
+    std::size_t lo = 0;  // in_run(lo) holds
+    std::size_t hi = 1;  // first probe
+    while (in_run(hi)) {
+      lo = hi;
+      hi *= 2;
+    }
+    while (hi - lo > 1) {  // in_run(lo) && !in_run(hi)
+      const std::size_t mid = lo + (hi - lo) / 2;
+      (in_run(mid) ? lo : hi) = mid;
+    }
+    return i + hi;
+  }
+
+  /// Calls `f(first_pos, len)` for each run of `node`'s entries, in order.
+  template <class F>
+  void for_each_run_of(NodeIndex node, F&& f) const {
+    for (std::size_t i = first_of(node);
+         i < entries.size() && entries[i].first == node;) {
+      const std::size_t end = run_end(i);
+      f(entries[i].second, static_cast<std::uint32_t>(end - i));
+      i = end;
+    }
+  }
+
+  /// Calls `f(node)`, in node order, for each recipient with an entry whose
+  /// position is set in `marked`; stops early once `f` returns false. One
+  /// word-level test per run rather than one bit test per entry.
+  template <class F>
+  void for_each_marked_recipient(const util::Bitmap512& marked, F&& f) const {
+    NodeIndex last = kInvalidNode;
+    for (std::size_t i = 0; i < entries.size();) {
+      const std::size_t end = run_end(i);
+      const auto [node, pos] = entries[i];
+      const auto len = static_cast<std::uint32_t>(end - i);
+      i = end;
+      if (node == last || !marked.any_in(pos, pos + len)) continue;
+      last = node;
+      if (!f(node)) return;
+    }
+  }
+
+  /// Number of `node`'s entries whose position is set in `marked`.
+  [[nodiscard]] std::uint32_t count_marked(NodeIndex node,
+                                           const util::Bitmap512& marked) const {
+    std::uint32_t count = 0;
+    for_each_run_of(node, [&](std::uint16_t pos, std::uint32_t len) {
+      count += marked.count_in(pos, pos + len);
+    });
+    return count;
+  }
 };
 
 using BoostMap = std::vector<std::shared_ptr<const LineBoost>>;

@@ -58,6 +58,27 @@ class Bitmap512 {
     }
   }
 
+  /// True if any bit in [lo, hi) is set (word-level; hi <= kCapacity).
+  [[nodiscard]] bool any_in(std::uint32_t lo, std::uint32_t hi) const noexcept {
+    bool any = false;
+    for_each_masked_word(lo, hi, [&](std::uint64_t w) {
+      any = any || w != 0;
+      return !any;
+    });
+    return any;
+  }
+
+  /// Number of set bits in [lo, hi) (word-level; hi <= kCapacity).
+  [[nodiscard]] std::uint32_t count_in(std::uint32_t lo,
+                                       std::uint32_t hi) const noexcept {
+    std::uint32_t c = 0;
+    for_each_masked_word(lo, hi, [&](std::uint64_t w) {
+      c += static_cast<std::uint32_t>(std::popcount(w));
+      return true;
+    });
+    return c;
+  }
+
   /// Indices of set bits among the first `limit` positions.
   [[nodiscard]] std::vector<std::uint32_t> set_bits(std::uint32_t limit = kCapacity) const;
 
@@ -93,6 +114,20 @@ class Bitmap512 {
   [[nodiscard]] std::array<std::uint64_t, 8>& words() noexcept { return words_; }
 
  private:
+  /// Calls `f(word & mask)` for each word overlapping [lo, hi), with bits
+  /// outside the range masked off, until `f` returns false.
+  template <class F>
+  void for_each_masked_word(std::uint32_t lo, std::uint32_t hi, F&& f) const {
+    if (lo >= hi) return;
+    const std::uint32_t last = (hi - 1) >> 6;
+    for (std::uint32_t w = lo >> 6; w <= last; ++w) {
+      std::uint64_t mask = ~0ULL;
+      if (w == lo >> 6) mask &= ~0ULL << (lo & 63);
+      if (w == last) mask &= ~0ULL >> (63 - ((hi - 1) & 63));
+      if (!f(words_[w] & mask)) return;
+    }
+  }
+
   std::array<std::uint64_t, 8> words_{};
 };
 

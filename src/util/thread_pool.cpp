@@ -39,12 +39,18 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-void ThreadPool::run_range(const std::function<void(std::size_t)>& fn) {
-  const std::size_t end = end_.load(std::memory_order_acquire);
+void ThreadPool::run_range(const std::function<void(std::size_t)>& fn,
+                           std::uint64_t tag, std::size_t end) {
+  std::uint64_t word = claim_.load(std::memory_order_relaxed);
   for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if ((word >> kIndexBits) != tag) return;  // a newer job owns the indices
+    const std::size_t i = word & kIndexMask;
     if (i >= end) return;
-    fn(i);
+    if (claim_.compare_exchange_weak(word, word + 1,
+                                     std::memory_order_relaxed)) {
+      fn(i);
+      word = claim_.load(std::memory_order_relaxed);
+    }
   }
 }
 
@@ -57,15 +63,17 @@ void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     std::function<void(std::size_t)> job;
+    std::size_t end = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
       job = job_;  // copy under the lock: stays valid past the caller's exit
+      end = end_;
       ++active_;
     }
-    run_range(job);
+    run_range(job, tag_of(seen), end);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--active_ == 0) done_cv_.notify_all();
@@ -90,18 +98,19 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
         "ThreadPool::parallel_for: blocking dispatch from a pool worker");
   }
   inside_parallel_for = true;
+  std::uint64_t tag = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     job_ = fn;
-    next_.store(begin, std::memory_order_relaxed);
-    end_.store(end, std::memory_order_release);
-    ++generation_;
+    end_ = end;
+    tag = tag_of(++generation_);
+    claim_.store((tag << kIndexBits) | begin, std::memory_order_relaxed);
   }
   work_cv_.notify_all();
-  run_range(fn);  // the caller participates
+  run_range(fn, tag, end);  // the caller participates
   {
     // Workers increment active_ before claiming any index, so active_ == 0
-    // with next_ exhausted means every claimed iteration has finished.
+    // with the indices exhausted means every claimed iteration has finished.
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return active_ == 0; });
   }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -39,6 +40,7 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [begin, end), distributing iterations over
   /// the workers plus the calling thread; returns when all are done.
+  /// `end` must stay below 2^48.
   /// `fn` must not throw. Nested parallel_for calls — from the caller or
   /// from inside a job on a worker — run inline on the issuing thread.
   /// Blocking dispatch from a pool worker (of any pool) would deadlock (the
@@ -59,17 +61,32 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  void run_range(const std::function<void(std::size_t)>& fn);
+  /// Claims and runs indices of the job tagged `tag` (ending at `end`)
+  /// until they run out or a newer job replaces it.
+  void run_range(const std::function<void(std::size_t)>& fn, std::uint64_t tag,
+                 std::size_t end);
 
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
 
+  /// Low bits of the claim word hold the next index, high bits the job tag.
+  static constexpr unsigned kIndexBits = 48;
+  static constexpr std::uint64_t kIndexMask = (std::uint64_t{1} << kIndexBits) - 1;
+  /// Tag of a job generation. Only jobs g and g + 1 can ever be in flight
+  /// together, so the wrap-around of the 16-bit tag is harmless.
+  [[nodiscard]] static std::uint64_t tag_of(std::uint64_t generation) noexcept {
+    return generation & (~std::uint64_t{0} >> kIndexBits);
+  }
+
   // Current job; guarded by mu_ for publication, indices claimed lock-free.
   std::function<void(std::size_t)> job_;
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> end_{0};
+  std::size_t end_ = 0;
+  /// (job tag << kIndexBits) | next index. A worker that copied job g claims
+  /// an index only while the tag still reads g, so a worker waking late can
+  /// never run g's function on the indices of the job published after it.
+  std::atomic<std::uint64_t> claim_{0};
   std::uint64_t generation_ = 0;   // bumped per job so workers wake once each
   unsigned active_ = 0;            // workers still inside the current job
   bool stop_ = false;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/seeding.h"
 #include "net/codec.h"
+#include "net/directory.h"
 #include "util/prng.h"
 
 namespace pandas::net {
@@ -373,6 +375,85 @@ TEST(Codec, FullRowReplyFragmentsFitUdpPayload) {
     }
     EXPECT_EQ(cells, 512u) << "fragmentation lost cells";
   }
+}
+
+TEST(Codec, RedundantSeedBoostMapFitsOneDatagram) {
+  // Paper parameters (512x512, 8+8 lines per node) under redundant r=8
+  // seeding at 1,000 nodes: one node's seed carries the boost maps of its
+  // 16 lines. Encoded as parcel runs they fit a single datagram (as 6 B
+  // per seeded cell they would take ~197 KB, three datagrams' worth).
+  const core::ProtocolParams params;
+  constexpr std::uint32_t kNodes = 1000;
+  const auto directory = Directory::create(kNodes);
+  const core::AssignmentTable table(params, directory, core::epoch_seed(21, 0));
+  const auto view = core::View::full(kNodes);
+  util::Xoshiro256 rng(17);
+  const auto plan = core::plan_seeding(params, table, view,
+                                       core::SeedingPolicy::redundant(8), rng);
+  SeedMsg seed;
+  seed.slot = 1;
+  seed.boost = plan.boost_for(table.of(0));
+  ASSERT_EQ(seed.boost.size(), params.rows_per_node + params.cols_per_node);
+  EXPECT_LE(encoded_size(Message(seed)), kMaxUdpPayloadBytes);
+  expect_roundtrip(Message(seed));
+
+  // With its cells too, every fragment is a legal datagram and the boost
+  // map shares the first one with cells.
+  seed.cells = plan.cells_per_node[0];
+  seed.tags = proof_tags(seed.slot, seed.cells);
+  ASSERT_FALSE(seed.cells.empty());
+  const auto parts = fragment_to_budget(Message(seed), DatagramBudget{});
+  ASSERT_FALSE(parts.empty());
+  EXPECT_FALSE(std::get<SeedMsg>(parts[0]).cells.empty());
+  for (const auto& part : parts) {
+    EXPECT_LE(encode(part).size(), kMaxUdpPayloadBytes);
+  }
+}
+
+TEST(Codec, MalformedBoostRunsAreRejected) {
+  // Hand-built SeedMsg with one row boost line of the given runs.
+  struct Run {
+    std::uint32_t node;
+    std::uint16_t first;
+    std::uint16_t len;
+  };
+  const auto seed_with_runs = [](const std::vector<Run>& runs) {
+    std::vector<std::uint8_t> b;
+    const auto put = [&](std::uint64_t v, int bytes) {
+      for (int i = 0; i < bytes; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    put(1, 1);  // Tag::kSeed
+    put(7, 8);  // slot
+    put(0, 4);  // no cells
+    put(0, 4);  // no tags
+    put(1, 4);  // one boost line
+    put(LineRef::row(3).packed(), 2);
+    put(runs.size(), 4);
+    for (const auto& r : runs) {
+      put(r.node, 4);
+      put(r.first, 2);
+      put(r.len, 2);
+    }
+    put(0, 8);  // cause: origin, seq
+    return b;
+  };
+  const auto good = decode(seed_with_runs({{2, 0, 4}, {2, 10, 2}, {5, 508, 4}}));
+  ASSERT_TRUE(good.has_value());
+  const auto& lb = *std::get<SeedMsg>(*good).boost.at(0);
+  EXPECT_EQ(lb.entries.size(), 10u);
+  EXPECT_EQ(lb.wire_runs, 3u);
+  EXPECT_EQ(lb.entries.back(), (std::pair<NodeIndex, std::uint16_t>{5, 511}));
+
+  EXPECT_FALSE(decode(seed_with_runs({{2, 0, 0}})).has_value()) << "empty run";
+  EXPECT_FALSE(decode(seed_with_runs({{2, 510, 3}})).has_value()) << "past the line";
+  EXPECT_FALSE(decode(seed_with_runs({{5, 0, 2}, {2, 9, 1}})).has_value())
+      << "nodes out of order";
+  EXPECT_FALSE(decode(seed_with_runs({{2, 8, 2}, {2, 0, 2}})).has_value())
+      << "positions out of order";
+  EXPECT_FALSE(decode(seed_with_runs({{2, 0, 4}, {2, 3, 2}})).has_value())
+      << "overlapping runs";
+  EXPECT_FALSE(decode(seed_with_runs({{2, 0, 4}, {2, 4, 2}})).has_value())
+      << "adjacent runs of one node (not maximal)";
 }
 
 TEST(Codec, NonCellMessagesPassThroughUnfragmented) {

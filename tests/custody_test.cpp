@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <set>
+
 #include "core/custody.h"
+#include "util/prng.h"
 
 namespace pandas::core {
 namespace {
@@ -163,6 +169,119 @@ TEST(Custody, FullDankshardingLine) {
   EXPECT_EQ(res.completed.size(), 1u);
   EXPECT_EQ(res.reconstructed, 256u);
   EXPECT_EQ(cs.line_count(net::LineRef::row(100)), 512u);
+}
+
+/// Brute-force custody: a set of held cells, closed under "a line with >= k
+/// held cells holds all n" for assigned lines. Extras are cells outside
+/// every assigned line, kept only when asked.
+struct BruteCustody {
+  ProtocolParams p;
+  AssignedLines lines;
+  std::set<net::CellId> held;
+
+  bool on_lines(net::CellId c) const {
+    return lines.has_row(c.row) || lines.has_col(c.col);
+  }
+  std::uint32_t count(net::LineRef line) const {
+    std::uint32_t n = 0;
+    for (const auto c : held) {
+      if (line.kind == net::LineRef::Kind::kRow ? c.row == line.index
+                                                : c.col == line.index) {
+        ++n;
+      }
+    }
+    return n;
+  }
+  /// Ingests a batch; returns (new, duplicates, reconstructed).
+  std::array<std::uint32_t, 3> add(const std::vector<net::CellId>& cells,
+                                   bool keep_extras) {
+    std::array<std::uint32_t, 3> out{};
+    for (const auto c : cells) {
+      if (held.count(c) != 0) {
+        ++out[1];
+      } else if (on_lines(c) || keep_extras) {
+        held.insert(c);
+        ++out[0];
+      }
+    }
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (const auto line : lines.lines()) {
+        const std::uint32_t have = count(line);
+        if (have < p.matrix_k || have == p.matrix_n) continue;
+        for (std::uint16_t pos = 0; pos < p.matrix_n; ++pos) {
+          const net::CellId c = line.kind == net::LineRef::Kind::kRow
+                                    ? net::CellId{line.index, pos}
+                                    : net::CellId{pos, line.index};
+          if (held.insert(c).second) ++out[2];
+        }
+        changed = true;
+      }
+    }
+    return out;
+  }
+};
+
+TEST(Custody, MatchesBruteForceCellSet) {
+  util::Xoshiro256 rng(0xc057);
+  for (int trial = 0; trial < 150; ++trial) {
+    ProtocolParams p;
+    p.matrix_n = 16;
+    p.matrix_k = 4 + static_cast<std::uint32_t>(rng.uniform(6));
+    AssignedLines al;
+    for (std::uint16_t i = 0; i < p.matrix_n; ++i) {
+      if (rng.uniform(5) == 0) al.rows.push_back(i);
+      if (rng.uniform(5) == 0) al.cols.push_back(i);
+    }
+    CustodyState cs(p, al);
+    BruteCustody ref{p, al, {}};
+    for (int batch = 0; batch < 12; ++batch) {
+      std::vector<net::CellId> cells;
+      const auto size = rng.uniform(20);
+      for (std::uint64_t i = 0; i < size; ++i) {
+        // Bias toward assigned lines so cascades happen; repeats are
+        // duplicates both within and across batches.
+        net::CellId c{static_cast<std::uint16_t>(rng.uniform(p.matrix_n)),
+                      static_cast<std::uint16_t>(rng.uniform(p.matrix_n))};
+        if (!al.rows.empty() && rng.uniform(2) == 0) {
+          c.row = al.rows[rng.uniform(al.rows.size())];
+        }
+        cells.push_back(c);
+        if (rng.uniform(6) == 0) cells.push_back(c);
+      }
+      const bool keep_extras = rng.uniform(2) == 0;
+      const std::set<net::CellId> before = ref.held;
+      const auto expect = ref.add(cells, keep_extras);
+      const auto got = cs.add_cells(cells, keep_extras);
+      ASSERT_EQ(got.new_cells, expect[0]);
+      ASSERT_EQ(got.duplicates, expect[1]);
+      ASSERT_EQ(got.reconstructed, expect[2]);
+      std::set<net::CellId> obtained(got.obtained.begin(), got.obtained.end());
+      ASSERT_EQ(obtained.size(), got.obtained.size()) << "cell obtained twice";
+      std::set<net::CellId> grown;
+      std::set_difference(ref.held.begin(), ref.held.end(), before.begin(),
+                          before.end(), std::inserter(grown, grown.end()));
+      ASSERT_EQ(obtained, grown);
+
+      std::uint64_t on_lines = 0;
+      for (std::uint16_t r = 0; r < p.matrix_n; ++r) {
+        for (std::uint16_t c = 0; c < p.matrix_n; ++c) {
+          const net::CellId cell{r, c};
+          ASSERT_EQ(cs.has_cell(cell), ref.held.count(cell) != 0)
+              << "cell (" << r << "," << c << ") trial " << trial;
+          if (ref.held.count(cell) != 0 && ref.on_lines(cell)) ++on_lines;
+        }
+      }
+      ASSERT_EQ(cs.held_cells(), on_lines);
+      std::uint32_t complete = 0;
+      for (const auto line : al.lines()) {
+        ASSERT_EQ(cs.line_count(line), ref.count(line));
+        ASSERT_EQ(cs.line_complete(line), ref.count(line) == p.matrix_n);
+        complete += ref.count(line) == p.matrix_n ? 1 : 0;
+      }
+      ASSERT_EQ(cs.complete_line_count(), complete);
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "core/fetcher.h"
 #include "core/reputation.h"
 #include "core/rtt.h"
+#include "util/prng.h"
 
 namespace pandas::core {
 namespace {
@@ -535,6 +537,34 @@ TEST(Fetcher, UnsolicitedReplyIgnored) {
   const auto& stats = f->round_stats();
   ASSERT_GE(stats.size(), 1u);
   EXPECT_EQ(stats[0].replies_in_round + stats[0].replies_after_round, 0u);
+}
+
+TEST(CandidateRanking, PopOrderMatchesFullSort) {
+  // Differential check against the full sort the ranking replaces:
+  // decreasing score, then increasing mix64(node ^ salt). Scores come from a
+  // handful of values, so most comparisons are ties.
+  util::Xoshiro256 rng(0x4ea9);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint64_t salt = rng();
+    std::vector<CandidateRanking::Entry> entries;
+    std::set<net::NodeIndex> used;
+    const auto count = rng.uniform(200);
+    const double scores[] = {0.0, 1.0, 3.0, 10'000.0, 10'003.5, 0.25};
+    while (entries.size() < count) {
+      const auto node = static_cast<net::NodeIndex>(rng.uniform(5000));
+      if (!used.insert(node).second) continue;
+      entries.push_back({scores[rng.uniform(trial % 2 == 0 ? 2 : 6)],
+                         util::mix64(node ^ salt), node});
+    }
+    auto sorted = entries;
+    std::sort(sorted.begin(), sorted.end(), [salt](const auto& a, const auto& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return util::mix64(a.node ^ salt) < util::mix64(b.node ^ salt);
+    });
+    CandidateRanking ranking(std::move(entries));
+    for (const auto& e : sorted) ASSERT_EQ(ranking.pop(), e.node);
+    EXPECT_EQ(ranking.pop(), net::kInvalidNode);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "net/directory.h"
 #include "net/messages.h"
 #include "net/sim_transport.h"
 #include "sim/engine.h"
 #include "sim/topology.h"
+#include "util/prng.h"
 
 namespace pandas::net {
 namespace {
@@ -51,14 +54,117 @@ TEST(Messages, WireSizeSeedIncludesSignatureAndBoost) {
                 2 * kBoostRunWireBytes + 4);
 }
 
-TEST(Messages, LineBoostRangeOf) {
+TEST(Messages, LineBoostRunsOfRecipient) {
   LineBoost lb;
   lb.entries = {{2, 0}, {5, 1}, {5, 2}, {5, 9}, {8, 3}};
-  const auto [lo, hi] = lb.range_of(5);
-  EXPECT_EQ(lo, 1u);
-  EXPECT_EQ(hi, 4u);
-  const auto [lo2, hi2] = lb.range_of(3);
-  EXPECT_EQ(lo2, hi2);  // absent node: empty range
+  EXPECT_EQ(lb.first_of(5), 1u);
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> runs;
+  lb.for_each_run_of(5, [&](std::uint16_t pos, std::uint32_t len) {
+    runs.emplace_back(pos, len);
+  });
+  EXPECT_EQ(runs, (std::vector<std::pair<std::uint16_t, std::uint32_t>>{
+                      {1, 2}, {9, 1}}));
+  runs.clear();
+  lb.for_each_run_of(3, [&](std::uint16_t pos, std::uint32_t len) {
+    runs.emplace_back(pos, len);
+  });
+  EXPECT_TRUE(runs.empty());  // absent node: no runs
+  EXPECT_EQ(lb.first_of(3), 1u);
+}
+
+/// Random boost line: `recipients` nodes, each given 1-3 parcels of
+/// consecutive positions (copies may overlap other nodes' parcels), then
+/// optionally subsampled evenly like the builder's wire cap, which breaks
+/// runs apart.
+LineBoost random_boost(util::Xoshiro256& rng, bool subsample) {
+  LineBoost lb;
+  const auto recipients = 1 + static_cast<std::uint32_t>(rng.uniform(20));
+  std::set<std::pair<NodeIndex, std::uint16_t>> entries;
+  for (std::uint32_t r = 0; r < recipients; ++r) {
+    const auto node = static_cast<NodeIndex>(rng.uniform(1000));
+    const auto parcels = 1 + rng.uniform(3);
+    for (std::uint64_t p = 0; p < parcels; ++p) {
+      const auto first = static_cast<std::uint32_t>(rng.uniform(512));
+      const auto len = 1 + static_cast<std::uint32_t>(rng.uniform(90));
+      for (std::uint32_t pos = first; pos < std::min(512u, first + len); ++pos) {
+        entries.emplace(node, static_cast<std::uint16_t>(pos));
+      }
+    }
+  }
+  lb.entries.assign(entries.begin(), entries.end());
+  if (subsample && lb.entries.size() > 8) {
+    std::vector<std::pair<NodeIndex, std::uint16_t>> kept;
+    const std::size_t stride = 2 + rng.uniform(3);
+    for (std::size_t i = 0; i < lb.entries.size(); i += stride) {
+      kept.push_back(lb.entries[i]);
+    }
+    lb.entries = std::move(kept);
+  }
+  lb.finalize();
+  return lb;
+}
+
+TEST(Messages, RunWiseBoostScansMatchPerEntryScans) {
+  util::Xoshiro256 rng(0x5ca7);
+  for (int trial = 0; trial < 400; ++trial) {
+    const LineBoost lb = random_boost(rng, /*subsample=*/trial % 3 == 0);
+    util::Bitmap512 marked;
+    const auto density = 1 + rng.uniform(60);
+    for (std::uint32_t i = 0; i < 512; ++i) {
+      if (rng.uniform(density) == 0) marked.set(i);
+    }
+
+    // Runs: consecutive, cover every entry once, each maximal.
+    std::uint32_t runs = 0;
+    for (std::size_t i = 0; i < lb.entries.size(); i = lb.run_end(i)) {
+      const std::size_t end = lb.run_end(i);
+      ASSERT_GT(end, i);
+      for (std::size_t j = i; j < end; ++j) {
+        ASSERT_EQ(lb.entries[j].first, lb.entries[i].first);
+        ASSERT_EQ(lb.entries[j].second, lb.entries[i].second + (j - i));
+      }
+      if (end < lb.entries.size()) {
+        ASSERT_FALSE(lb.entries[end].first == lb.entries[i].first &&
+                     lb.entries[end].second == lb.entries[i].second + (end - i))
+            << "run not maximal";
+      }
+      ++runs;
+    }
+    EXPECT_EQ(runs, lb.wire_runs);
+
+    // Recipients with a marked entry, in order; per-entry reference.
+    std::vector<NodeIndex> expect_nodes;
+    for (const auto& [node, pos] : lb.entries) {
+      if (marked.test(pos) &&
+          (expect_nodes.empty() || expect_nodes.back() != node)) {
+        expect_nodes.push_back(node);
+      }
+    }
+    std::vector<NodeIndex> got_nodes;
+    lb.for_each_marked_recipient(marked, [&](NodeIndex node) {
+      got_nodes.push_back(node);
+      return true;
+    });
+    EXPECT_EQ(got_nodes, expect_nodes);
+    // Early stop after the first two recipients.
+    got_nodes.clear();
+    lb.for_each_marked_recipient(marked, [&](NodeIndex node) {
+      got_nodes.push_back(node);
+      return got_nodes.size() < 2;
+    });
+    EXPECT_EQ(got_nodes.size(), std::min<std::size_t>(2, expect_nodes.size()));
+
+    // Per-recipient marked counts, including absent nodes.
+    std::set<NodeIndex> nodes{0, 999};
+    for (const auto& e : lb.entries) nodes.insert(e.first);
+    for (const auto node : nodes) {
+      std::uint32_t expect = 0;
+      for (const auto& [n, pos] : lb.entries) {
+        if (n == node && marked.test(pos)) ++expect;
+      }
+      EXPECT_EQ(lb.count_marked(node, marked), expect) << "node " << node;
+    }
+  }
 }
 
 TEST(Messages, DropCells) {

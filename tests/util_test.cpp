@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <set>
 #include <thread>
 
 #include "util/bitmap.h"
+#include "util/cell_counts.h"
 #include "util/prng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -266,6 +269,152 @@ TEST(Bitmap, CountMinus) {
 
 // ------------------------------------------------------------ Samples::merge
 
+TEST(Bitmap, RangeQueriesMatchBitByBit) {
+  Xoshiro256 rng(0xb17);
+  for (int trial = 0; trial < 40; ++trial) {
+    Bitmap512 bm;
+    const std::uint32_t density = 1 + static_cast<std::uint32_t>(rng.uniform(40));
+    for (std::uint32_t i = 0; i < Bitmap512::kCapacity; ++i) {
+      if (rng.uniform(density) == 0) bm.set(i);
+    }
+    auto check = [&](std::uint32_t lo, std::uint32_t hi) {
+      std::uint32_t expect = 0;
+      for (std::uint32_t i = lo; i < hi; ++i) expect += bm.test(i) ? 1 : 0;
+      EXPECT_EQ(bm.count_in(lo, hi), expect) << lo << ".." << hi;
+      EXPECT_EQ(bm.any_in(lo, hi), expect != 0) << lo << ".." << hi;
+    };
+    // Word edges and the whole line, then random ranges.
+    for (const std::uint32_t lo : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 511u}) {
+      for (const std::uint32_t hi : {0u, 1u, 63u, 64u, 65u, 128u, 129u, 512u}) {
+        check(lo, hi);
+      }
+    }
+    for (int r = 0; r < 300; ++r) {
+      const auto lo = static_cast<std::uint32_t>(rng.uniform(513));
+      const auto hi = lo + static_cast<std::uint32_t>(rng.uniform(513 - lo));
+      check(lo, hi);
+    }
+  }
+}
+
+// ---------------------------------------------------------------- CellCounts
+
+/// Keys whose home slot coincides in a `capacity`-slot table.
+std::vector<std::uint32_t> colliding_keys(std::size_t capacity, std::size_t n) {
+  const auto shift = static_cast<unsigned>(32 - std::countr_zero(capacity));
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t key = 0; out.size() < n; ++key) {
+    if (((key * 0x9E3779B1u) >> shift) == 5) out.push_back(key);
+  }
+  return out;
+}
+
+TEST(CellCounts, CountsAndErases) {
+  CellCounts counts;
+  EXPECT_EQ(counts.get(CellCounts::key(3, 4)), 0u);
+  EXPECT_EQ(counts.increment(CellCounts::key(3, 4)), 1u);
+  EXPECT_EQ(counts.increment(CellCounts::key(3, 4)), 2u);
+  EXPECT_EQ(counts.increment(CellCounts::key(511, 511)), 1u);
+  EXPECT_EQ(counts.get(CellCounts::key(3, 4)), 2u);
+  EXPECT_EQ(counts.size(), 2u);
+  counts.decrement(CellCounts::key(3, 4));
+  EXPECT_EQ(counts.get(CellCounts::key(3, 4)), 1u);
+  counts.decrement(CellCounts::key(3, 4));  // reaches 0: the entry goes
+  EXPECT_EQ(counts.get(CellCounts::key(3, 4)), 0u);
+  EXPECT_EQ(counts.size(), 1u);
+  counts.decrement(CellCounts::key(3, 4));  // absent: no-op
+  counts.erase(CellCounts::key(511, 511));
+  EXPECT_EQ(counts.size(), 0u);
+  EXPECT_EQ(counts.get(CellCounts::key(511, 511)), 0u);
+}
+
+TEST(CellCounts, SaturatesAtMaxCount) {
+  CellCounts counts;
+  const auto k = CellCounts::key(0, 0);
+  for (std::uint32_t i = 0; i < CellCounts::kMaxCount + 5; ++i) counts.increment(k);
+  EXPECT_EQ(counts.get(k), CellCounts::kMaxCount);
+  EXPECT_EQ(counts.size(), 1u);
+}
+
+TEST(CellCounts, EraseInsideACollisionClusterKeepsLaterKeysReachable) {
+  CellCounts counts;
+  const auto keys = colliding_keys(16, 5);  // one cluster in the first table
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t c = 0; c <= i; ++c) counts.increment(keys[i]);
+  }
+  ASSERT_EQ(counts.capacity(), 16u);
+  counts.erase(keys[1]);  // backward shift must pull keys[2..4] along
+  EXPECT_EQ(counts.get(keys[1]), 0u);
+  for (std::size_t i = 2; i < keys.size(); ++i) {
+    EXPECT_EQ(counts.get(keys[i]), i + 1) << "key " << i << " lost after erase";
+  }
+  counts.erase(keys[0]);
+  counts.erase(keys[4]);
+  EXPECT_EQ(counts.get(keys[2]), 3u);
+  EXPECT_EQ(counts.get(keys[3]), 4u);
+  EXPECT_EQ(counts.size(), 2u);
+}
+
+TEST(CellCounts, GrowsAtHalfLoadAndClearKeepsCapacity) {
+  CellCounts counts;
+  const auto keys = colliding_keys(16, 40);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    counts.increment(keys[i]);
+    EXPECT_LE(2 * counts.size(), counts.capacity());
+  }
+  EXPECT_EQ(counts.capacity(), 128u);
+  for (const auto k : keys) EXPECT_EQ(counts.get(k), 1u);
+  counts.clear();
+  EXPECT_EQ(counts.size(), 0u);
+  EXPECT_EQ(counts.capacity(), 128u);
+  for (const auto k : keys) EXPECT_EQ(counts.get(k), 0u);
+  EXPECT_EQ(counts.increment(keys[7]), 1u);
+}
+
+TEST(CellCounts, MatchesReferenceMapUnderRandomOperations) {
+  // Differential check against std::map with the table's semantics (a
+  // count that reaches 0 is absent). Keys come from a small pool, part of
+  // it colliding, so clusters form, shift and wrap around the table.
+  Xoshiro256 rng(0xc0de);
+  std::vector<std::uint32_t> pool = colliding_keys(64, 24);
+  while (pool.size() < 400) {
+    pool.push_back(static_cast<std::uint32_t>(rng.uniform(1u << CellCounts::kKeyBits)));
+  }
+  CellCounts counts;
+  std::map<std::uint32_t, std::uint32_t> ref;
+  for (int op = 0; op < 200'000; ++op) {
+    const std::uint32_t key = pool[rng.uniform(pool.size())];
+    switch (rng.uniform(10)) {
+      case 0: case 1: case 2: case 3:
+        ASSERT_EQ(counts.increment(key), ++ref[key]);
+        break;
+      case 4: case 5:
+        counts.decrement(key);
+        if (auto it = ref.find(key); it != ref.end() && --it->second == 0) {
+          ref.erase(it);
+        }
+        break;
+      case 6:
+        counts.erase(key);
+        ref.erase(key);
+        break;
+      default: {
+        const auto it = ref.find(key);
+        ASSERT_EQ(counts.get(key), it == ref.end() ? 0u : it->second);
+      }
+    }
+    if (op % 50'000 == 49'999) {
+      counts.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(counts.size(), ref.size());
+  }
+  for (const auto key : pool) {
+    const auto it = ref.find(key);
+    EXPECT_EQ(counts.get(key), it == ref.end() ? 0u : it->second);
+  }
+}
+
 TEST(Samples, MergeCombinesDistributions) {
   Samples a, b;
   for (const double v : {1.0, 2.0, 3.0}) a.add(v);
@@ -477,6 +626,31 @@ TEST(ThreadPool, CurrentThreadIsWorkerSeesWorkersOnly) {
   });
   EXPECT_EQ(total.load(), 256);
   EXPECT_FALSE(ThreadPool::current_thread_is_worker());  // caller unchanged
+}
+
+TEST(ThreadPool, BackToBackJobsRunOnlyTheirOwnFunction) {
+  // A worker that wakes late for job g copies g's function; it must never
+  // claim an index of job g + 1 published meanwhile and run g's function
+  // on it. Many short back-to-back jobs give such a late worker plenty of
+  // chances; every (job, index) pair must run exactly once, under its own
+  // job's function.
+  ThreadPool pool(3);
+  constexpr std::size_t kJobs = 20'000;
+  constexpr std::size_t kWidth = 4;
+  std::vector<std::atomic<std::uint8_t>> runs(kJobs * kWidth);
+  std::atomic<std::size_t> current{0};
+  std::atomic<int> stale{0};
+  for (std::size_t job = 0; job < kJobs; ++job) {
+    current.store(job);
+    pool.parallel_for(0, kWidth, [&, job](std::size_t i) {
+      if (current.load() != job) ++stale;
+      ++runs[job * kWidth + i];
+    });
+  }
+  EXPECT_EQ(stale.load(), 0) << "a job's function ran after the job returned";
+  std::size_t wrong = 0;
+  for (const auto& r : runs) wrong += r.load() != 1 ? 1 : 0;
+  EXPECT_EQ(wrong, 0u) << "(job, index) pairs not run exactly once";
 }
 
 TEST(ThreadPool, NestedDispatchIntoAnotherPoolRunsInline) {
